@@ -14,7 +14,7 @@ test:
 vet:
 	go vet ./...
 
-# bench runs the perf-tracked suite (S1-S7, the pruned-sweep arms,
+# bench runs the perf-tracked suite (S1-S8, the pruned-sweep arms,
 # Fig. 1, obs overhead) and files the numbers into BENCH_PR10.json, with
 # the S5 portfolio race additionally pinned to -cpu=1 and -cpu=4. Set
 # BENCH_LABEL/BENCHTIME to override defaults.

@@ -1323,3 +1323,63 @@ func BenchmarkS7_ServedWarmPath(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkS8_PlantOptimize solves the §IV-D cost-benefit problem of the
+// shipped sme-plant (experiment S8), the stage that dominated every real
+// assessment before the optimizer was compiled to option bitmasks: the
+// loss rows of a finished analysis go through mitigation.PrepareLosses,
+// then the exact optimum and the greedy multi-phase plan, as
+// `riskassess -optimize` runs them. X5 covers the small water-tank
+// instance; this is the catalog-sized one, at growing maximum
+// cardinality (maxcard=-1 is the whole scenario space, 1008 loss rows).
+func BenchmarkS8_PlantOptimize(b *testing.B) {
+	modelBytes, err := os.ReadFile("models/sme-plant.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	typesBytes, err := os.ReadFile("models/types.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	types, err := sysmodel.ReadTypesJSON(bytes.NewReader(typesBytes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := kb.MustDefaultKB()
+	for _, maxCard := range []int{2, 3, -1} {
+		b.Run(fmt.Sprintf("maxcard=%d", maxCard), func(b *testing.B) {
+			model, err := sysmodel.ReadJSON(bytes.NewReader(modelBytes))
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs, err := hazard.GenericRequirements(model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := core.Run(core.Config{
+				Model: model, Types: types, KB: k, Requirements: reqs,
+				MutationSources: faults.AllSources(),
+				MaxCardinality:  maxCard,
+				Budget:          -1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			problem := &optimize.Problem{Budget: -1}
+			for _, m := range a.RelevantMitigations {
+				problem.Options = append(problem.Options, optimize.Option{ID: m.ID, Cost: m.Cost + m.MaintenanceCost})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				problem.Scenarios = mitigation.PrepareLosses(k, a.Analysis, a.Candidates)
+				if _, err := problem.Optimal(); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := problem.MultiPhase(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(problem.Scenarios)), "rows")
+		})
+	}
+}

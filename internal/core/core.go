@@ -217,8 +217,9 @@ func Run(cfg Config) (*Assessment, error) {
 // the budget is not an error: the assessment degrades stage by stage —
 // hazard identification falls back to the largest fully-analyzed
 // cardinality, the ASP path falls back to the native fixpoint engine,
-// validation and optimization are skipped when no time remains — and
-// every truncation is recorded in Assessment.Degradation.
+// validation and optimization are skipped when no time remains, an
+// optimization cut mid-search keeps its best plan so far — and every
+// truncation is recorded in Assessment.Degradation.
 func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 	if cfg.Model == nil || cfg.Types == nil {
 		return nil, fmt.Errorf("core: model and type library are required")
@@ -624,12 +625,14 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 				})
 			}
 			problem.Scenarios = mitigation.PrepareLosses(cfg.KB, out.Analysis, muts)
+			// On expiry the search hands back its incumbent plan (at
+			// worst buying nothing) and the phases built so far.
 			var err error
-			out.Plan, err = problem.Optimal()
-			if err != nil {
-				return err
+			out.Plan, out.Phases, err = problem.Solve(b)
+			if err != nil && out.Degradation.RecordError(err) {
+				stampLast(out.Degradation, b.Context())
+				return nil
 			}
-			out.Phases, _, err = problem.MultiPhase()
 			return err
 		})
 		if err != nil {

@@ -1,19 +1,21 @@
 // Package optimize implements the cost-benefit estimation and optimization
 // step (paper §IV-D): selecting mitigation sets that trade implementation
 // cost against residual loss, under an optional budget constraint, with an
-// exact branch-and-bound optimizer, a greedy multi-phase planner (the
-// paper's staged security-consolidation strategy for SMEs), and an ASP
-// encoding for cross-checking optima through the embedded formal method.
+// exact branch-and-bound optimizer and a greedy multi-phase planner (the
+// paper's staged security-consolidation strategy for SMEs) sharing one
+// compilation of the problem to option bitmasks, and an ASP encoding for
+// cross-checking optima through the embedded formal method.
 package optimize
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
+	"cpsrisk/internal/budget"
 	"cpsrisk/internal/logic"
 	"cpsrisk/internal/mitigation"
+	"cpsrisk/internal/obs"
 )
 
 // Option is a selectable mitigation with its total per-horizon cost
@@ -67,7 +69,14 @@ func (p *Problem) Evaluate(selected map[string]bool) Plan {
 	return plan
 }
 
+// maxOptions bounds len(Problem.Options): selections are uint64 bitmasks,
+// and the exact search is exponential in the option count anyway.
+const maxOptions = 64
+
 func (p *Problem) validate() error {
+	if len(p.Options) > maxOptions {
+		return fmt.Errorf("optimize: %d options exceed the limit of %d", len(p.Options), maxOptions)
+	}
 	seen := map[string]bool{}
 	for _, o := range p.Options {
 		if o.ID == "" {
@@ -90,55 +99,17 @@ func (p *Problem) validate() error {
 }
 
 // Optimal finds a selection minimizing Cost + ResidualLoss subject to the
-// budget, by branch and bound over the option set (exact; exponential in
+// budget, exactly: a branch and bound over option bitmasks (exponential in
 // len(Options), fine for realistic mitigation catalogs). Ties prefer the
-// cheaper, then lexicographically smaller selection, making the result
-// deterministic.
+// cheaper, then the lexicographically smaller selection, making the
+// result deterministic.
 func (p *Problem) Optimal() (Plan, error) {
 	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
-	best := p.Evaluate(map[string]bool{}) // baseline: buy nothing
-	if p.Budget >= 0 && best.Cost > p.Budget {
-		return Plan{}, fmt.Errorf("optimize: empty selection exceeds budget")
-	}
-	selected := map[string]bool{}
-	var rec func(i, cost int)
-	rec = func(i, cost int) {
-		if p.Budget >= 0 && cost > p.Budget {
-			return
-		}
-		if cost >= best.Total {
-			// Even with zero residual loss this branch cannot win.
-			return
-		}
-		if i == len(p.Options) {
-			plan := p.Evaluate(selected)
-			if better(plan, best) {
-				best = plan
-			}
-			return
-		}
-		// Branch: include option i first (tends to find good bounds early
-		// for blocking-heavy instances), then exclude.
-		o := p.Options[i]
-		selected[o.ID] = true
-		rec(i+1, cost+o.Cost)
-		delete(selected, o.ID)
-		rec(i+1, cost)
-	}
-	rec(0, 0)
-	return best, nil
-}
-
-func better(a, b Plan) bool {
-	if a.Total != b.Total {
-		return a.Total < b.Total
-	}
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
-	}
-	return fmt.Sprint(a.Selected) < fmt.Sprint(b.Selected)
+	c := compile(p)
+	sel, _ := c.optimal(nil) // a nil budget never expires
+	return p.Evaluate(c.selection(sel)), nil
 }
 
 // Phase is one step of the greedy multi-phase plan.
@@ -156,145 +127,159 @@ type Phase struct {
 // move is a single mitigation or a minimal blocking bundle — blocking an
 // attack scenario can require covering several sources at once (e.g. user
 // training AND endpoint security for the spearphishing + drive-by pair),
-// where no single purchase reduces loss. It returns the ordered phases
-// ("first deal with the most potential and severe risk and later focus on
-// the other ones") and the final plan. Bundle phases report each member
-// mitigation as its own Phase entry sharing the bundle's reduction split
-// on the first member.
+// where no single purchase reduces loss. A bundle is a set: a mitigation
+// blocking several of its sources is bought and charged once. It returns
+// the ordered phases ("first deal with the most potential and severe risk
+// and later focus on the other ones") and the final plan. Bundle phases
+// report each member mitigation as its own Phase entry sharing the
+// bundle's reduction split on the first member.
 func (p *Problem) MultiPhase() ([]Phase, Plan, error) {
 	if err := p.validate(); err != nil {
 		return nil, Plan{}, err
 	}
-	costOf := map[string]int{}
-	for _, o := range p.Options {
-		costOf[o.ID] = o.Cost
+	c := compile(p)
+	phases, sel, _ := c.phases(nil)
+	return phases, p.Evaluate(c.selection(sel)), nil
+}
+
+// Solve computes the exact optimum and the multi-phase plan from one
+// compiled problem under b, in "optimize.exact" and "optimize.phases"
+// spans under the span b's context carries. The search polls b every
+// 1024 nodes and between greedy rounds. On expiry it returns the budget's
+// *budget.ExhaustedError together with what it has: the best plan found
+// so far (at worst buying nothing) and the phases built so far (none when
+// the exact search was cut).
+func (p *Problem) Solve(b *budget.Budget) (Plan, []Phase, error) {
+	if err := p.validate(); err != nil {
+		return Plan{}, nil, err
 	}
-	selected := map[string]bool{}
-	remaining := p.Budget
-	var phases []Phase
-	current := p.Evaluate(selected)
+	ctx := b.Context()
+	_, sp := obs.StartSpan(ctx, "optimize.exact")
+	c := compile(p)
+	sel, err := c.optimal(b)
+	plan := p.Evaluate(c.selection(sel))
+	sp.End()
+	if err != nil {
+		return plan, nil, err
+	}
+	_, sp = obs.StartSpan(ctx, "optimize.phases")
+	phases, _, err := c.phases(b)
+	sp.End()
+	return plan, phases, err
+}
+
+// optimal returns the selection minimizing (Total, Cost, fmt.Sprint of
+// the sorted IDs). Options branch include-first in problem order. A
+// branch is cut when its admissible bound — its cost plus the residual
+// loss if every remaining option were bought too — exceeds the
+// incumbent's total, or equals it at a higher cost; exact ties survive
+// for the ID tie-break.
+func (c *compiled) optimal(b *budget.Budget) (uint64, error) {
+	n := len(c.costs)
+	rest := make([]uint64, n+1) // rest[i]: options i..n-1
+	for i := n - 1; i >= 0; i-- {
+		rest[i] = rest[i+1] | 1<<i
+	}
+	var best uint64 // buy nothing
+	bestCost, bestTotal := 0, c.residual(0)
+	var nodes, prunes, incumbents int64
+	var err error
+	var rec func(i int, sel uint64, cost int)
+	rec = func(i int, sel uint64, cost int) {
+		if err != nil {
+			return
+		}
+		if nodes&1023 == 0 {
+			if err = b.Err("optimize"); err != nil {
+				return
+			}
+		}
+		nodes++
+		if c.budget >= 0 && cost > c.budget {
+			return
+		}
+		bound := cost + c.residual(sel|rest[i])
+		if bound > bestTotal || bound == bestTotal && cost > bestCost {
+			prunes++
+			return
+		}
+		if i == n {
+			// bound is the leaf's total; the cut above leaves only ties
+			// and improvements.
+			if bound < bestTotal || cost < bestCost || c.selectionLess(sel, best) {
+				best, bestCost, bestTotal = sel, cost, bound
+				incumbents++
+			}
+			return
+		}
+		rec(i+1, sel|1<<i, cost+c.costs[i])
+		rec(i+1, sel, cost)
+	}
+	rec(0, 0, 0)
+	if reg := obs.RegistryFromContext(b.Context()); reg != nil {
+		reg.Counter("optimize.nodes").Add(nodes)
+		reg.Counter("optimize.prunes").Add(prunes)
+		reg.Counter("optimize.incumbents").Add(incumbents)
+	}
+	if e, ok := budget.Exhausted(err); ok {
+		e.Detail = fmt.Sprintf("exact search stopped after %d nodes; the plan is the best selection found so far", nodes)
+	}
+	return best, err
+}
+
+// phases runs the greedy staged plan and returns its phases and final
+// selection. Each round scores every candidate move by mask and deploys
+// the best loss reduction per cost that fits the remaining budget; ties
+// prefer the smaller "+"-joined ID list.
+func (c *compiled) phases(b *budget.Budget) ([]Phase, uint64, error) {
+	var (
+		phases []Phase
+		sel    uint64
+		moves  []uint64
+	)
+	remaining := c.budget
+	current := c.residual(0)
 	for {
-		moves := p.candidateMoves(selected, costOf)
-		bestIdx := -1
+		if err := b.Err("optimize"); err != nil {
+			if e, ok := budget.Exhausted(err); ok {
+				e.Detail = fmt.Sprintf("multi-phase plan stopped after %d phases", len(phases))
+			}
+			return phases, sel, err
+		}
+		moves = c.moves(moves[:0], sel)
+		var best uint64
 		var bestGain float64
 		var bestReduction, bestCost int
-		for i, move := range moves {
-			cost := 0
-			for _, id := range move {
-				cost += costOf[id]
-			}
-			if p.Budget >= 0 && cost > remaining {
+		for _, move := range moves {
+			cost := c.cost(move)
+			if c.budget >= 0 && cost > remaining {
 				continue
 			}
-			for _, id := range move {
-				selected[id] = true
-			}
-			trial := p.Evaluate(selected)
-			for _, id := range move {
-				delete(selected, id)
-			}
-			reduction := current.ResidualLoss - trial.ResidualLoss
+			reduction := current - c.residual(sel|move)
 			if reduction <= 0 {
 				continue
 			}
 			gain := float64(reduction) / math.Max(float64(cost), 0.5)
-			if bestIdx < 0 || gain > bestGain ||
-				(gain == bestGain && moveKey(move) < moveKey(moves[bestIdx])) {
-				bestGain = gain
-				bestIdx = i
-				bestReduction = reduction
-				bestCost = cost
+			if best == 0 || gain > bestGain || gain == bestGain && c.moveLess(move, best) {
+				best, bestGain, bestReduction, bestCost = move, gain, reduction, cost
 			}
 		}
-		if bestIdx < 0 {
-			break
+		if best == 0 {
+			return phases, sel, nil
 		}
-		move := moves[bestIdx]
-		for mi, id := range move {
-			selected[id] = true
-			reduction := 0
-			if mi == 0 {
-				reduction = bestReduction
+		reduction := bestReduction
+		for _, i := range c.byID {
+			if best&(1<<i) != 0 {
+				phases = append(phases, Phase{MitigationID: c.ids[i], Cost: c.costs[i], LossReduction: reduction})
+				reduction = 0
 			}
-			phases = append(phases, Phase{
-				MitigationID:  id,
-				Cost:          costOf[id],
-				LossReduction: reduction,
-			})
 		}
-		if p.Budget >= 0 {
+		sel |= best
+		if c.budget >= 0 {
 			remaining -= bestCost
 		}
-		current = p.Evaluate(selected)
+		current -= bestReduction
 	}
-	return phases, current, nil
-}
-
-func moveKey(move []string) string { return strings.Join(move, "+") }
-
-// candidateMoves enumerates greedy moves: every unselected single
-// mitigation, plus per unblocked scenario the minimal source-covering
-// bundles (one blocker per source of one activation), restricted to known
-// options and deduplicated.
-func (p *Problem) candidateMoves(selected map[string]bool, costOf map[string]int) [][]string {
-	var moves [][]string
-	seen := map[string]bool{}
-	add := func(move []string) {
-		filtered := make([]string, 0, len(move))
-		for _, id := range move {
-			if _, known := costOf[id]; known && !selected[id] {
-				filtered = append(filtered, id)
-			}
-		}
-		if len(filtered) == 0 {
-			return
-		}
-		sort.Strings(filtered)
-		key := moveKey(filtered)
-		if !seen[key] {
-			seen[key] = true
-			moves = append(moves, filtered)
-		}
-	}
-	for _, o := range p.Options {
-		add([]string{o.ID})
-	}
-	for _, s := range p.Scenarios {
-		if s.BlockedBy(selected) {
-			continue
-		}
-		for _, sources := range s.Activations {
-			if len(sources) == 0 {
-				continue
-			}
-			bundles := [][]string{{}}
-			feasible := true
-			for _, blockers := range sources {
-				if len(blockers) == 0 {
-					feasible = false
-					break
-				}
-				var grown [][]string
-				for _, b := range bundles {
-					for _, m := range blockers {
-						next := append(append([]string(nil), b...), m)
-						grown = append(grown, next)
-					}
-					if len(grown) > 64 {
-						break // cap combinatorial growth; singles still apply
-					}
-				}
-				bundles = grown
-			}
-			if !feasible {
-				continue
-			}
-			for _, b := range bundles {
-				add(b)
-			}
-		}
-	}
-	return moves
 }
 
 // EncodeASP renders the selection problem as an ASP optimization program:

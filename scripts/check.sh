@@ -57,14 +57,14 @@ go test -race -cpu=1,4 -count=1 -run 'TestPortfolio|TestSessionPortfolio' ./inte
 
 # Trace exporter end-to-end: assess the sample plant with tracing on and
 # validate the emitted Chrome trace (sorted timestamps, matched B/E
-# pairs, every executed pipeline stage present, and the correlation ID
-# riding on the root span's args).
+# pairs, every executed pipeline stage and both optimizer spans present,
+# and the correlation ID riding on the root span's args).
 echo "== trace exporter (riskassess -trace -trace-id + tracecheck) =="
 trace_out="$(mktemp)"
 go run ./cmd/riskassess -model models/sme-plant.json -types models/types.json \
   -maxcard 1 -optimize -trace "$trace_out" -trace-id check-e2e >/dev/null
 go run ./cmd/tracecheck \
-  -require assessment,model,candidates,hazard,sweep,mitigation \
+  -require assessment,model,candidates,hazard,sweep,mitigation,optimize.exact,optimize.phases \
   -trace-id check-e2e "$trace_out"
 rm -f "$trace_out"
 
