@@ -14,7 +14,7 @@ test:
 vet:
 	go vet ./...
 
-# bench runs the perf-tracked suite (S1-S8, the pruned-sweep arms,
+# bench runs the perf-tracked suite (S1-S9, the pruned-sweep arms,
 # Fig. 1, obs overhead) and files the numbers into BENCH_PR10.json, with
 # the S5 portfolio race additionally pinned to -cpu=1 and -cpu=4. Set
 # BENCH_LABEL/BENCHTIME to override defaults.
@@ -39,6 +39,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=$${FUZZTIME:-5s} ./internal/sysmodel
 	go test -run='^$$' -fuzz=FuzzCacheRecord -fuzztime=$${FUZZTIME:-5s} ./internal/store
 	go test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$${FUZZTIME:-5s} ./internal/hazard
+	go test -run='^$$' -fuzz=FuzzSummaryJSON -fuzztime=$${FUZZTIME:-5s} ./internal/core
 
 # chaos runs the crash-safety battery with a fixed seed set: fault
 # injection at every site, store corruption/self-heal, the crash matrix

@@ -1383,3 +1383,63 @@ func BenchmarkS8_PlantOptimize(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkS9_ReportJSON measures the -json export alone (experiment
+// S9): Summarize plus the streaming writer over the k=5 pruned star of
+// S3 (68,406 rows) and the shipped sme-plant at maxcard 4. The
+// assessment is built once outside the timer, so the number is the
+// render cost an operator pays per report.
+func BenchmarkS9_ReportJSON(b *testing.B) {
+	eng, muts, reqs := redundantStar(b, 12)
+	an, err := hazard.AnalyzeSweep(eng, muts, 5, reqs, hazard.SweepConfig{Parallelism: 2, Prune: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	star := &core.Assessment{Candidates: muts, Analyzed: muts, Analysis: an, Ranked: an.Ranked()}
+
+	typesBytes, err := os.ReadFile("models/types.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	types, err := sysmodel.ReadTypesJSON(bytes.NewReader(typesBytes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	modelBytes, err := os.ReadFile("models/sme-plant.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := sysmodel.ReadJSON(bytes.NewReader(modelBytes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plantReqs, err := hazard.GenericRequirements(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plant, err := core.Run(core.Config{
+		Model: model, Types: types, KB: kb.MustDefaultKB(), Requirements: plantReqs,
+		MutationSources: faults.AllSources(),
+		MaxCardinality:  4,
+		Budget:          -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		a    *core.Assessment
+	}{{"star-k=5", star}, {"sme-plant-k=4", plant}} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := c.a.WriteJSON(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(c.a.Ranked)), "rows")
+			b.SetBytes(int64(buf.Len()))
+		})
+	}
+}

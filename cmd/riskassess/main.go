@@ -51,7 +51,6 @@ import (
 	"cpsrisk/internal/hazard"
 	"cpsrisk/internal/kb"
 	"cpsrisk/internal/obs"
-	"cpsrisk/internal/serve"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -269,7 +268,7 @@ func run(args []string, stdout io.Writer) error {
 		// (stdout stays the report stream), in the same JSON dialect the
 		// service emits, so a supervised watch process is grep- and
 		// dashboard-friendly.
-		wlog := serve.NewJSONLogger(os.Stderr)
+		wlog := obs.NewJSONLogger(os.Stderr)
 		runs := 0
 		var last time.Time
 		for {

@@ -50,6 +50,7 @@ import (
 
 	"cpsrisk/internal/budget"
 	"cpsrisk/internal/faultinject"
+	"cpsrisk/internal/obs"
 	"cpsrisk/internal/serve"
 	"cpsrisk/internal/sysmodel"
 )
@@ -116,7 +117,7 @@ func run(args []string) error {
 		return err
 	}
 
-	logger := serve.NewJSONLogger(os.Stderr)
+	logger := obs.NewJSONLogger(os.Stderr)
 	s, err := serve.New(serve.Options{
 		Types:               types,
 		MaxCardinality:      *maxCard,

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"io"
 
 	"cpsrisk/internal/budget"
+	"cpsrisk/internal/epa"
 	"cpsrisk/internal/obs"
 	"cpsrisk/internal/qual"
 	"cpsrisk/internal/risk"
@@ -158,6 +158,9 @@ func (a *Assessment) Summarize() *Summary {
 	out := &Summary{TraceID: a.TraceID}
 	out.Model.Components = a.ModelStats.Components
 	out.Model.Connections = a.ModelStats.Connections
+	if len(a.Candidates) > 0 {
+		out.Candidates = make([]CandidateSummary, 0, len(a.Candidates))
+	}
 	for _, m := range a.Candidates {
 		out.Candidates = append(out.Candidates, CandidateSummary{
 			Component:  m.Component,
@@ -167,6 +170,11 @@ func (a *Assessment) Summarize() *Summary {
 		})
 	}
 	out.Compromisable = a.Compromisable
+	if len(a.Ranked) > 0 {
+		out.Scenarios = make([]ScenarioSummary, 0, len(a.Ranked))
+	}
+	// Rows repeat the same few candidate activations; name each once.
+	actNames := make(map[epa.Activation]string, len(a.Analyzed))
 	for _, sc := range a.Ranked {
 		row := ScenarioSummary{
 			ID:         sc.ID,
@@ -176,8 +184,16 @@ func (a *Assessment) Summarize() *Summary {
 			Risk:       s.Label(sc.Risk.Risk),
 			Treatment:  risk.TreatmentFor(sc.Risk.Risk).String(),
 		}
-		for _, act := range sc.Scenario {
-			row.Activations = append(row.Activations, act.String())
+		if len(sc.Scenario) > 0 {
+			row.Activations = make([]string, len(sc.Scenario))
+			for i, act := range sc.Scenario {
+				name, ok := actNames[act]
+				if !ok {
+					name = act.String()
+					actNames[act] = name
+				}
+				row.Activations[i] = name
+			}
 		}
 		out.Scenarios = append(out.Scenarios, row)
 	}
@@ -269,9 +285,7 @@ func (a *Assessment) Summarize() *Summary {
 	return out
 }
 
-// WriteJSON writes the summary as indented JSON.
+// WriteJSON writes the summary as indented JSON (see Summary.WriteJSON).
 func (a *Assessment) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a.Summarize())
+	return a.Summarize().WriteJSON(w)
 }

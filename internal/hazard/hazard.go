@@ -3,7 +3,9 @@ package hazard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -234,13 +236,17 @@ func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
 	}
 }
 
+// scenarioID is the report ID of the scenario at 0-based enumeration
+// position seq: S1 is the fault-free scenario.
+func scenarioID(seq int) string { return "S" + strconv.Itoa(seq+1) }
+
 // scoreResult evaluates every requirement on one EPA outcome and scores
 // the scenario risk. seq is the 0-based enumeration position; the
 // scenario ID is S<seq+1> (S1 = fault-free), identical for the
 // sequential and parallel sweeps.
 func scoreResult(seq int, sc epa.Scenario, res *epa.Result, reqs []Requirement, likelihoods map[epa.Activation]qual.Level) ScenarioResult {
 	sr := ScenarioResult{
-		ID:       fmt.Sprintf("S%d", seq+1),
+		ID:       scenarioID(seq),
 		Scenario: sc,
 	}
 	var severities []qual.Level
@@ -523,7 +529,7 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 		return results[i].Scenario.Key() < results[j].Scenario.Key()
 	})
 	for i := range results {
-		results[i].ID = fmt.Sprintf("S%d", i+1)
+		results[i].ID = scenarioID(i)
 		var severities []qual.Level
 		for _, v := range results[i].Violated {
 			severities = append(severities, sevByID[v])
@@ -579,18 +585,27 @@ func (a *Analysis) ByScenario(sc epa.Scenario) (ScenarioResult, bool) {
 }
 
 // Ranked returns the scenarios ordered by risk (paper §IV: prioritize by
-// severity and potential impact).
+// severity and potential impact), as risk.Rank orders their scores.
 func (a *Analysis) Ranked() []ScenarioResult {
-	risks := make([]risk.ScenarioRisk, len(a.Scenarios))
-	byID := make(map[string]ScenarioResult, len(a.Scenarios))
-	for i, s := range a.Scenarios {
-		risks[i] = s.Risk
-		byID[s.ID] = s
+	// Sort a permutation rather than the rows themselves: moving 4-byte
+	// indices is far cheaper than moving whole results.
+	perm := make([]int32, len(a.Scenarios))
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	ranked := risk.Rank(risks)
-	out := make([]ScenarioResult, len(ranked))
-	for i, r := range ranked {
-		out[i] = byID[r.ID]
+	slices.SortStableFunc(perm, func(i, j int32) int {
+		x, y := &a.Scenarios[i].Risk, &a.Scenarios[j].Risk
+		switch {
+		case risk.Less(*x, *y):
+			return -1
+		case risk.Less(*y, *x):
+			return 1
+		}
+		return 0
+	})
+	out := make([]ScenarioResult, len(perm))
+	for i, j := range perm {
+		out[i] = a.Scenarios[j]
 	}
 	return out
 }

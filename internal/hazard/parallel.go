@@ -314,7 +314,8 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	var cacheHits, cacheMisses, retries atomic.Int64
 	var executed, prunedCnt, orbitHits, reused atomic.Int64
 	runChunk := func(jb sweepChunk, wCtx context.Context) (o sweepOutcome) {
-		o = sweepOutcome{baseSeq: jb.baseSeq, n: len(jb.scs), badSeq: -1}
+		o = sweepOutcome{baseSeq: jb.baseSeq, n: len(jb.scs), badSeq: -1,
+			srs: make([]ScenarioResult, 0, len(jb.scs))}
 		defer func() {
 			if r := recover(); r != nil {
 				o.badSeq = jb.baseSeq + len(o.srs)
@@ -330,6 +331,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				return o
 			}
 		}
+		var keyBuf []byte // orbit-key scratch, reused across the chunk
 		for i, sc := range jb.scs {
 			seq := jb.baseSeq + i
 			if err := bud.Err("hazard"); err != nil {
@@ -340,9 +342,16 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				return o
 			}
 			var res *epa.Result
-			var mask []byte
+			var mask, okey []byte
 			if cfg.Cache != nil || pr != nil {
 				mask = scenarioMask(sc, mutIdx, maskLen)
+			}
+			if pr != nil && mask != nil {
+				// One orbit key per scenario serves the lookup and the
+				// record below.
+				if okey = pr.orbitKey(keyBuf, mask); okey != nil {
+					keyBuf = okey
+				}
 			}
 			// Delta re-assessment: a row the oracle can answer is carried
 			// over from the cached parent analysis without touching the
@@ -353,7 +362,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				if violated, known := cfg.Reuse(sc); known {
 					reused.Add(1)
 					if pr != nil && mask != nil {
-						pr.record(sc, mask, violated)
+						pr.record(mask, okey, violated)
 						if cfg.Cache != nil {
 							cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 						}
@@ -372,7 +381,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				var known bool
 				if violated, known = pr.tryDominate(mask); known {
 					prunedCnt.Add(1)
-				} else if violated, known = pr.tryOrbit(sc); known {
+				} else if violated, known = pr.tryOrbit(okey); known {
 					orbitHits.Add(1)
 				} else if cfg.Cache != nil {
 					if b, ok := cfg.Cache.Get(synthKey(mask)); ok {
@@ -383,7 +392,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 					}
 				}
 				if known {
-					pr.record(sc, mask, violated)
+					pr.record(mask, okey, violated)
 					if cfg.Cache != nil {
 						cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 					}
@@ -432,7 +441,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			executed.Add(1)
 			sr := scoreResult(seq, sc, res, reqs, likelihoods)
 			if pr != nil && mask != nil {
-				pr.record(sc, mask, sr.Violated)
+				pr.record(mask, okey, sr.Violated)
 			}
 			o.srs = append(o.srs, sr)
 		}
@@ -578,6 +587,9 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	if resumeFrom > shardLo {
 		out.Resume = &ResumeInfo{FromRank: resumeFrom}
 	}
+	if cut > shardLo {
+		out.Scenarios = make([]ScenarioResult, 0, cut-shardLo)
+	}
 merge:
 	for seq := shardLo; seq < cut; {
 		o, ok := chunks[seq]
@@ -663,6 +675,7 @@ type capAccountant struct {
 	shadow     *pruner // nil when pruning is off (reuse-only accounting)
 	mutIdx     map[epa.Activation]int
 	maskLen    int
+	keyBuf     []byte // orbit-key scratch
 	charged    int
 	cut        int // math.MaxInt until the cap is reached
 	stop       *atomic.Bool
@@ -672,9 +685,13 @@ func (a *capAccountant) row(seq int, sr ScenarioResult) {
 	if a.cut != math.MaxInt {
 		return
 	}
-	var mask []byte
+	var mask, okey []byte
 	if a.shadow != nil {
-		mask = scenarioMask(sr.Scenario, a.mutIdx, a.maskLen)
+		if mask = scenarioMask(sr.Scenario, a.mutIdx, a.maskLen); mask != nil {
+			if okey = a.shadow.orbitKey(a.keyBuf, mask); okey != nil {
+				a.keyBuf = okey
+			}
+		}
 	}
 	exempt := seq < a.resumeFrom
 	if !exempt && a.reuse != nil {
@@ -683,7 +700,7 @@ func (a *capAccountant) row(seq int, sr ScenarioResult) {
 	if !exempt && a.shadow != nil && mask != nil {
 		if _, ok := a.shadow.tryDominate(mask); ok {
 			exempt = true
-		} else if _, ok := a.shadow.tryOrbit(sr.Scenario); ok {
+		} else if _, ok := a.shadow.tryOrbit(okey); ok {
 			exempt = true
 		}
 	}
@@ -696,7 +713,7 @@ func (a *capAccountant) row(seq int, sr ScenarioResult) {
 		a.charged++
 	}
 	if a.shadow != nil && mask != nil {
-		a.shadow.record(sr.Scenario, mask, sr.Violated)
+		a.shadow.record(mask, okey, sr.Violated)
 	}
 }
 

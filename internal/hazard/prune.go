@@ -24,7 +24,10 @@ package hazard
 //     have identical violation vectors AND identical risk scores. The
 //     first orbit member encountered executes; the rest replicate its
 //     violated set. Orbit replication is sound on any engine — it does
-//     not need monotonicity.
+//     not need monotonicity. The orbit key is the scenario's candidate
+//     bitmask with each class's per-member fault bitfields sorted into
+//     canonical member order (see orbitKey), so a lookup is a byte-
+//     string map probe with no formatting.
 //
 // Synthesized rows are also persisted to the result cache as
 // synthesized-result records (scenario mask + 'S' suffix, payload =
@@ -34,9 +37,12 @@ package hazard
 // ranks.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -65,11 +71,23 @@ type pruner struct {
 	dominance bool
 
 	classes []int // sizes only, for stats
-	classOf map[string]int
+	// slots maps each candidate index to its place in a symmetry class
+	// (class < 0: unclassed). classIdx[c][m*width+f] is the candidate
+	// index of fault slot f of member slot m of class c; every member of
+	// a class carries the same fault profile, so width is per class.
+	slots    []orbitSlot
+	classIdx [][]int
+	width    []int
 
 	mu        sync.RWMutex
 	violating [][]string // per requirement: minimal violating masks
 	orbits    map[string][]string
+}
+
+// orbitSlot places one candidate inside its symmetry class.
+type orbitSlot struct {
+	class, member int32
+	fault         uint8
 }
 
 // newPruner analyzes the engine and requirement set and builds the
@@ -81,7 +99,7 @@ func newPruner(eng *epa.Engine, muts []faults.Mutation, reqs []Requirement) *pru
 		reqIdx:    make(map[string]int, len(reqs)),
 		reqsHash:  hashReqs(reqs),
 		dominance: eng.Monotone(),
-		classOf:   map[string]int{},
+		slots:     make([]orbitSlot, len(muts)),
 		violating: make([][]string, len(reqs)),
 		orbits:    map[string][]string{},
 	}
@@ -103,32 +121,48 @@ func newPruner(eng *epa.Engine, muts []faults.Mutation, reqs []Requirement) *pru
 		collectConditionComponents(r.Condition, protected)
 	}
 	profile := map[string][]string{}
-	for _, m := range muts {
+	candIdx := map[string][]int{} // component -> candidate indices
+	for i, m := range muts {
+		p.slots[i].class = -1
 		profile[m.Component] = append(profile[m.Component],
-			m.Fault+"\x00"+itoa(int(m.Likelihood)))
+			m.Fault+"\x00"+strconv.Itoa(int(m.Likelihood)))
+		candIdx[m.Component] = append(candIdx[m.Component], i)
 	}
 	for _, cl := range eng.InterchangeableClasses(protected) {
 		byProfile := map[string][]string{}
 		var order []string
+		var faultsOf [][]string
 		for _, comp := range cl {
 			pr := append([]string(nil), profile[comp]...)
 			sort.Strings(pr)
 			key := strings.Join(pr, "\x01")
 			if _, seen := byProfile[key]; !seen {
 				order = append(order, key)
+				faultsOf = append(faultsOf, pr)
 			}
 			byProfile[key] = append(byProfile[key], comp)
 		}
-		for _, key := range order {
+		for j, key := range order {
 			members := byProfile[key]
-			if len(members) < 2 {
+			// A member's fault set must fit one uint64 bitfield; a wider
+			// profile is left unclassed (less pruning, never a wrong row).
+			if len(members) < 2 || len(faultsOf[j]) > 64 {
 				continue
 			}
 			id := len(p.classes)
+			width := len(faultsOf[j])
 			p.classes = append(p.classes, len(members))
-			for _, comp := range members {
-				p.classOf[comp] = id
+			p.width = append(p.width, width)
+			idx := make([]int, len(members)*width)
+			for m, comp := range members {
+				for _, i := range candIdx[comp] {
+					f := sort.SearchStrings(faultsOf[j],
+						muts[i].Fault+"\x00"+strconv.Itoa(int(muts[i].Likelihood)))
+					p.slots[i] = orbitSlot{class: int32(id), member: int32(m), fault: uint8(f)}
+					idx[m*width+f] = i
+				}
 			}
+			p.classIdx = append(p.classIdx, idx)
 		}
 	}
 	return p
@@ -206,24 +240,24 @@ func (p *pruner) tryDominate(mask []byte) ([]string, bool) {
 }
 
 // tryOrbit returns the memoized violated set of the scenario's symmetry
-// orbit, if another member of the orbit has already been evaluated.
-func (p *pruner) tryOrbit(sc epa.Scenario) ([]string, bool) {
-	key, ok := p.orbitKey(sc)
-	if !ok {
+// orbit, given its orbit key, if another member of the orbit has already
+// been evaluated.
+func (p *pruner) tryOrbit(key []byte) ([]string, bool) {
+	if key == nil {
 		return nil, false
 	}
 	p.mu.RLock()
-	v, hit := p.orbits[key]
+	v, hit := p.orbits[string(key)]
 	p.mu.RUnlock()
 	return v, hit
 }
 
 // record feeds one evaluated (or synthesized) scenario back into the
 // pruning state: its mask into the per-requirement dominance index when
-// it violates, and its violated set into the orbit memo.
-func (p *pruner) record(sc epa.Scenario, mask []byte, violated []string) {
-	key, hasOrbit := p.orbitKey(sc)
-	if !p.dominance && !hasOrbit {
+// it violates, and its violated set into the orbit memo under key (nil
+// when the scenario has no orbit).
+func (p *pruner) record(mask, key []byte, violated []string) {
+	if !p.dominance && key == nil {
 		return
 	}
 	p.mu.Lock()
@@ -238,10 +272,10 @@ func (p *pruner) record(sc epa.Scenario, mask []byte, violated []string) {
 			p.violating[i] = insertMinimalMask(p.violating[i], ms)
 		}
 	}
-	if hasOrbit {
-		if _, seen := p.orbits[key]; !seen {
+	if key != nil {
+		if _, seen := p.orbits[string(key)]; !seen {
 			// Copy: the caller's slice may alias a ScenarioResult.
-			p.orbits[key] = append([]string(nil), violated...)
+			p.orbits[string(key)] = append([]string(nil), violated...)
 		}
 	}
 }
@@ -295,11 +329,10 @@ func (p *pruner) seedFromCache(c *store.Cache, eng *epa.Engine, muts []faults.Mu
 		default:
 			return true
 		}
-		sc, ok := scenarioFromMask(mask, muts)
-		if !ok {
+		if _, ok := scenarioFromMask(mask, muts); !ok {
 			return true
 		}
-		p.record(sc, mask, violated)
+		p.record(mask, p.orbitKey(nil, mask), violated)
 		seeded++
 		return true
 	})
@@ -324,57 +357,81 @@ func scenarioFromMask(mask []byte, muts []faults.Mutation) (epa.Scenario, bool) 
 	return sc, len(sc) == set
 }
 
-// orbitKey canonicalizes a scenario under the symmetric groups of the
-// refined classes: activations on unclassed components stay literal,
-// activations on classed components collapse to the multiset of
-// per-member fault sets within each class. Two scenarios share a key
-// iff one is the image of the other under some verified automorphism.
-// ok is false when no classed component participates (singleton orbit —
-// nothing to memoize).
-func (p *pruner) orbitKey(sc epa.Scenario) (string, bool) {
+// orbitKey canonicalizes a scenario mask under the symmetric groups of
+// the refined classes and appends the result to dst[:0]. Bits of
+// unclassed candidates stay literal; within each class the members'
+// fault bitfields are sorted (largest first) and written back to member
+// slots 0, 1, ... — the canonical representative of the orbit. Two
+// scenarios share a key iff one is the image of the other under some
+// verified automorphism. The key is nil when no classed candidate is
+// set: a singleton orbit, nothing to memoize.
+func (p *pruner) orbitKey(dst, mask []byte) []byte {
 	if len(p.classes) == 0 {
-		return "", false
+		return nil
 	}
-	classed := false
-	var lines []string
-	perMember := map[string][]string{} // classed component -> faults
-	for _, a := range sc {
-		if _, ok := p.classOf[a.Component]; ok {
-			classed = true
-			perMember[a.Component] = append(perMember[a.Component], a.Fault)
-		} else {
-			lines = append(lines, "u\x00"+a.Component+"\x00"+a.Fault)
+	// Gather the set classed bits as (class, member, fault bit) and clear
+	// them from the key; a scenario sets at most a handful of bits, so
+	// the fixed buffer keeps this allocation-free.
+	type memberBits struct {
+		class, member int32
+		field         uint64
+	}
+	var buf [16]memberBits
+	set := buf[:0]
+	key := append(dst[:0], mask...)
+	for bi, b := range mask {
+		for b != 0 {
+			i := bi*8 + bits.TrailingZeros8(b)
+			b &= b - 1
+			if i >= len(p.slots) || p.slots[i].class < 0 {
+				continue
+			}
+			s := p.slots[i]
+			key[bi] &^= 1 << (i % 8)
+			set = append(set, memberBits{s.class, s.member, 1 << s.fault})
 		}
 	}
-	if !classed {
-		return "", false
+	if len(set) == 0 {
+		return nil
 	}
-	perClass := map[int][]string{} // class -> member fault-set strings
-	for comp, fs := range perMember {
-		sort.Strings(fs)
-		cl := p.classOf[comp]
-		perClass[cl] = append(perClass[cl], strings.Join(fs, "+"))
+	// Order by (class, member) and merge each member's bits into one
+	// fault bitfield.
+	slices.SortFunc(set, func(a, b memberBits) int {
+		if a.class != b.class {
+			return cmp.Compare(a.class, b.class)
+		}
+		return cmp.Compare(a.member, b.member)
+	})
+	n := 0
+	for _, e := range set {
+		if n > 0 && set[n-1].class == e.class && set[n-1].member == e.member {
+			set[n-1].field |= e.field
+			continue
+		}
+		set[n] = e
+		n++
 	}
-	for cl, sets := range perClass {
-		sort.Strings(sets)
-		lines = append(lines, "c\x00"+itoa(cl)+"\x00"+strings.Join(sets, "\x01"))
+	set = set[:n]
+	// Per class: sort the member bitfields and write them back to the
+	// leading member slots.
+	for lo := 0; lo < len(set); {
+		c := set[lo].class
+		hi := lo + 1
+		for hi < len(set) && set[hi].class == c {
+			hi++
+		}
+		run := set[lo:hi]
+		slices.SortFunc(run, func(a, b memberBits) int { return cmp.Compare(b.field, a.field) })
+		idx, width := p.classIdx[c], p.width[c]
+		for m, e := range run {
+			for f := e.field; f != 0; f &= f - 1 {
+				i := idx[m*width+bits.TrailingZeros64(f)]
+				key[i/8] |= 1 << (i % 8)
+			}
+		}
+		lo = hi
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n"), true
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return key
 }
 
 // hasViolatingSubset reports whether any recorded mask is a subset of m.
@@ -472,7 +529,7 @@ func (p *pruner) decodeSynth(b []byte) ([]string, bool) {
 // risk scoring — which is what makes pruned reports byte-identical.
 func synthesizeResult(seq int, sc epa.Scenario, violated []string, reqs []Requirement, likelihoods map[epa.Activation]qual.Level) ScenarioResult {
 	sr := ScenarioResult{
-		ID:       "S" + itoa(seq+1),
+		ID:       scenarioID(seq),
 		Scenario: sc,
 	}
 	var severities []qual.Level

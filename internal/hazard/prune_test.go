@@ -3,7 +3,10 @@ package hazard
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
+	"cpsrisk/internal/kb"
 	"cpsrisk/internal/qual"
 	"cpsrisk/internal/store"
 	"cpsrisk/internal/sysmodel"
@@ -539,5 +543,246 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{ShardIndex: -1, ShardCount: 3}); err == nil {
 		t.Error("negative shard index must fail")
+	}
+}
+
+// setupComposedFaults builds two interchangeable sensors whose type has
+// fault modes a, b and a composed mode named "a+b" that emits on a
+// different port: a and b corrupt the hub feed, a+b corrupts the
+// monitor feed. The sensor {a, b} and the sensor {a+b} therefore
+// violate different requirements although a fault-name join spells both
+// fault sets "a+b".
+func setupComposedFaults(t testing.TB) (*epa.Engine, []faults.Mutation, []Requirement) {
+	t.Helper()
+	types := sysmodel.NewTypeLibrary()
+	types.MustAdd(&sysmodel.ComponentType{
+		Name: "sensor",
+		Ports: []sysmodel.PortSpec{
+			{Name: "out", Dir: sysmodel.Out, Flow: sysmodel.SignalFlow},
+			{Name: "diag", Dir: sysmodel.Out, Flow: sysmodel.SignalFlow},
+		},
+		FaultModes: []sysmodel.FaultModeSpec{
+			{Name: "a", Likelihood: "M"}, {Name: "b", Likelihood: "M"}, {Name: "a+b", Likelihood: "M"},
+		},
+	})
+	types.MustAdd(&sysmodel.ComponentType{
+		Name: "relay",
+		Ports: []sysmodel.PortSpec{
+			{Name: "in", Dir: sysmodel.In, Flow: sysmodel.SignalFlow},
+			{Name: "out", Dir: sysmodel.Out, Flow: sysmodel.SignalFlow},
+		},
+	})
+	m := sysmodel.NewModel("composed-faults")
+	m.MustAddComponent(&sysmodel.Component{ID: "hub", Type: "relay"})
+	m.MustAddComponent(&sysmodel.Component{ID: "mon", Type: "relay"})
+	var muts []faults.Mutation
+	for _, id := range []string{"x", "y"} {
+		m.MustAddComponent(&sysmodel.Component{ID: id, Type: "sensor"})
+		m.Connect(id, "out", "hub", "in", sysmodel.SignalFlow)
+		m.Connect(id, "diag", "mon", "in", sysmodel.SignalFlow)
+		for _, f := range []string{"a", "b", "a+b"} {
+			muts = append(muts, faults.Mutation{
+				Activation: epa.Activation{Component: id, Fault: f}, Likelihood: qual.Medium})
+		}
+	}
+	lib := epa.NewBehaviorLibrary(types)
+	lib.MustRegister(&epa.TypeBehavior{
+		Type: "sensor",
+		Effects: []epa.FaultEffect{
+			{Fault: "a", Port: "out", Emit: epa.StateOf(epa.ErrValue)},
+			{Fault: "b", Port: "out", Emit: epa.StateOf(epa.ErrValue)},
+			{Fault: "a+b", Port: "diag", Emit: epa.StateOf(epa.ErrValue)},
+		},
+	})
+	lib.MustRegister(&epa.TypeBehavior{Type: "relay", Transfers: epa.IdentityTransfers("in", "out")})
+	eng, err := epa.NewEngine(m, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []Requirement{
+		{ID: "R-HUB", Severity: qual.High, Condition: Comp("hub", epa.ErrValue)},
+		{ID: "R-MON", Severity: qual.Medium, Condition: Comp("mon", epa.ErrValue)},
+	}
+	return eng, muts, reqs
+}
+
+// TestOrbitKeyComposedFaultNames is the regression test for the string
+// orbit key, which joined a member's faults with "+": sensor x with
+// {a, b} and sensor y with {a+b} shared a key, so x's scenario
+// replicated y's violated set. The sweep must match the exhaustive one.
+func TestOrbitKeyComposedFaultNames(t *testing.T) {
+	eng, muts, reqs := setupComposedFaults(t)
+	if p := newPruner(eng, muts, reqs); p.numClasses() != 1 {
+		t.Fatalf("sensors x and y should form one class, got %d classes", p.numClasses())
+	}
+	for _, par := range []int{1, 2} {
+		exhaustive, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{Parallelism: par, Prune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned.Sweep.OrbitHits == 0 {
+			t.Error("no orbit hits: the regression test is vacuous")
+		}
+		if got, want := projection(pruned), projection(exhaustive); got != want {
+			t.Fatalf("p=%d: pruned report diverged:\n--- pruned ---\n%s\n--- exhaustive ---\n%s", par, got, want)
+		}
+	}
+}
+
+// refOrbitKey is the former string orbit key, kept as the reference the
+// canonical-mask key is checked against: unclassed activations stay
+// literal, classed ones collapse to the per-class multiset of per-member
+// fault sets, each set joined with "+".
+func refOrbitKey(classOf map[string]int, sc epa.Scenario) (string, bool) {
+	if len(classOf) == 0 {
+		return "", false
+	}
+	classed := false
+	var lines []string
+	perMember := map[string][]string{}
+	for _, a := range sc {
+		if _, ok := classOf[a.Component]; ok {
+			classed = true
+			perMember[a.Component] = append(perMember[a.Component], a.Fault)
+		} else {
+			lines = append(lines, "u\x00"+a.Component+"\x00"+a.Fault)
+		}
+	}
+	if !classed {
+		return "", false
+	}
+	perClass := map[int][]string{}
+	for comp, fs := range perMember {
+		sort.Strings(fs)
+		cl := classOf[comp]
+		perClass[cl] = append(perClass[cl], strings.Join(fs, "+"))
+	}
+	for cl, sets := range perClass {
+		sort.Strings(sets)
+		lines = append(lines, "c\x00"+strconv.Itoa(cl)+"\x00"+strings.Join(sets, "\x01"))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n"), true
+}
+
+// setupFleetCell builds a fleet-style IT/OT plant from the shipped type
+// library and knowledge base: two workstations into a SCADA server that
+// drives four PLC/actuator cells and three HMIs. The critical actuator
+// makes the generic requirements protect every actuator, so the HMIs
+// (and the identically configured workstations) form the orbit classes.
+func setupFleetCell(t testing.TB) (*epa.Engine, []faults.Mutation, []Requirement) {
+	t.Helper()
+	f, err := os.Open("../../models/types.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	types, err := sysmodel.ReadTypesJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sysmodel.NewModel("fleet-cell")
+	for _, ws := range []string{"ws1", "ws2"} {
+		m.MustAddComponent(&sysmodel.Component{ID: ws, Type: "workstation",
+			Attrs: map[string]string{"exposure": "public", "version": "10"}})
+	}
+	m.MustAddComponent(&sysmodel.Component{ID: "scada", Type: "scada_server",
+		Attrs: map[string]string{"version": "5.0"}})
+	for _, ws := range []string{"ws1", "ws2"} {
+		m.Connect(ws, "net", "scada", "fromit", sysmodel.SignalFlow)
+	}
+	for i, fw := range []string{"fw2.3", "fw2.3", "fw3.0", "fw2.4"} {
+		plc, act := fmt.Sprintf("plc%d", i+1), fmt.Sprintf("act%d", i+1)
+		crit := "M"
+		if i == 0 {
+			crit = "VH"
+		}
+		m.MustAddComponent(&sysmodel.Component{ID: plc, Type: "plc", Attrs: map[string]string{"version": fw}})
+		m.MustAddComponent(&sysmodel.Component{ID: act, Type: "actuator", Attrs: map[string]string{"criticality": crit}})
+		m.Connect("scada", "toplc", plc, "in", sysmodel.SignalFlow)
+		m.Connect(plc, "cmd", act, "cmd", sysmodel.SignalFlow)
+	}
+	for _, hmi := range []string{"hmi1", "hmi2", "hmi3"} {
+		m.MustAddComponent(&sysmodel.Component{ID: hmi, Type: "hmi"})
+		m.Connect("scada", "tohmi", hmi, "in", sysmodel.SignalFlow)
+	}
+	eng, err := epa.NewEngine(m, epa.NewBehaviorLibrary(types))
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts, err := faults.Candidates(m, types, kb.MustDefaultKB(), faults.Options{
+		IncludeSpontaneous: true, IncludeVulnerabilities: true, IncludeTechniques: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := GenericRequirements(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, muts, reqs
+}
+
+// TestOrbitKeyMatchesReference: the canonical-mask key and the former
+// string key put exactly the same scenario pairs into one orbit, and
+// give exactly the same scenarios no orbit at all.
+func TestOrbitKeyMatchesReference(t *testing.T) {
+	plants := []struct {
+		name  string
+		setup func(testing.TB) (*epa.Engine, []faults.Mutation, []Requirement)
+	}{
+		{"sym-star", func(t testing.TB) (*epa.Engine, []faults.Mutation, []Requirement) { return setupSymmetric(t, 5) }},
+		{"fleet-cell", setupFleetCell},
+	}
+	for _, pl := range plants {
+		t.Run(pl.name, func(t *testing.T) {
+			eng, muts, reqs := pl.setup(t)
+			p := newPruner(eng, muts, reqs)
+			if p.numClasses() == 0 {
+				t.Fatal("no symmetry classes: the differential is vacuous")
+			}
+			classOf := map[string]int{}
+			for i, s := range p.slots {
+				if s.class >= 0 {
+					classOf[muts[i].Component] = int(s.class)
+				}
+			}
+			mutIdx := map[epa.Activation]int{}
+			for i, m := range muts {
+				mutIdx[m.Activation] = i
+			}
+			maskLen := (len(muts) + 7) / 8
+			refToKey, keyToRef := map[string]string{}, map[string]string{}
+			scenarios, orbits := 0, 0
+			faults.EnumerateStream(muts, 3, func(sc epa.Scenario) bool {
+				scenarios++
+				ref, refOK := refOrbitKey(classOf, sc)
+				key := p.orbitKey(nil, scenarioMask(sc, mutIdx, maskLen))
+				if refOK != (key != nil) {
+					t.Fatalf("%s: reference orbit %v, canonical key %x", sc.Key(), refOK, key)
+				}
+				if !refOK {
+					return true
+				}
+				k := string(key)
+				if prev, ok := refToKey[ref]; ok && prev != k {
+					t.Fatalf("%s: one reference orbit maps to two canonical keys", sc.Key())
+				}
+				if prev, ok := keyToRef[k]; ok && prev != ref {
+					t.Fatalf("%s: canonical key %x merges two reference orbits", sc.Key(), key)
+				}
+				if _, ok := refToKey[ref]; !ok {
+					orbits++
+				}
+				refToKey[ref], keyToRef[k] = k, ref
+				return true
+			})
+			if orbits == 0 || orbits == scenarios {
+				t.Fatalf("%d orbits over %d scenarios: the differential is vacuous", orbits, scenarios)
+			}
+		})
 	}
 }

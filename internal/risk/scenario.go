@@ -63,27 +63,30 @@ func ScoreScenario(in ScenarioInput) ScenarioRisk {
 	return out
 }
 
-// Rank orders scored scenarios for prioritization (paper §IV: "prioritize
-// the faults and vulnerabilities based on their severity and potential
-// impact"): by risk, then severity, then likelihood, all descending; ties
-// break toward fewer faults (more plausible), then by ID for determinism.
+// Less reports whether a ranks strictly before b in the prioritization
+// order (paper §IV: "prioritize the faults and vulnerabilities based on
+// their severity and potential impact"): by risk, then severity, then
+// likelihood, all descending; ties break toward fewer faults (more
+// plausible), then by ID for determinism.
+func Less(a, b ScenarioRisk) bool {
+	if a.Risk != b.Risk {
+		return a.Risk > b.Risk
+	}
+	if a.Severity != b.Severity {
+		return a.Severity > b.Severity
+	}
+	if a.Likelihood != b.Likelihood {
+		return a.Likelihood > b.Likelihood
+	}
+	if a.Faults != b.Faults {
+		return a.Faults < b.Faults
+	}
+	return a.ID < b.ID
+}
+
+// Rank orders scored scenarios for prioritization by Less.
 func Rank(scenarios []ScenarioRisk) []ScenarioRisk {
 	out := append([]ScenarioRisk(nil), scenarios...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Risk != b.Risk {
-			return a.Risk > b.Risk
-		}
-		if a.Severity != b.Severity {
-			return a.Severity > b.Severity
-		}
-		if a.Likelihood != b.Likelihood {
-			return a.Likelihood > b.Likelihood
-		}
-		if a.Faults != b.Faults {
-			return a.Faults < b.Faults
-		}
-		return a.ID < b.ID
-	})
+	sort.SliceStable(out, func(i, j int) bool { return Less(out[i], out[j]) })
 	return out
 }

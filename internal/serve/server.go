@@ -1,3 +1,9 @@
+// Package serve turns the one-shot assessment pipeline into a
+// long-running, multi-tenant HTTP/JSON service with service-grade
+// observability: an async job model over core.Run, a Prometheus
+// /metrics exposition of the obs registry, per-request trace IDs
+// carried through the span tree and the structured logs, and an SLO
+// critical-event monitor gating readiness.
 package serve
 
 import (
@@ -152,7 +158,7 @@ func New(opts Options) (*Server, error) {
 		opts.TopN = 20
 	}
 	if opts.Logger == nil {
-		opts.Logger = NewJSONLogger(io.Discard)
+		opts.Logger = obs.NewJSONLogger(io.Discard)
 	}
 	s := &Server{
 		opts:  opts,
@@ -453,7 +459,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	sum := a.Summarize()
 	sum.Trace = nil
 	sum.Metrics = nil
-	writeJSON(w, http.StatusOK, sum)
+	w.Header().Set("Content-Type", "application/json")
+	sum.WriteJSON(w) //nolint:errcheck
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

@@ -3,8 +3,8 @@
 # S1-S3, the multi-shot solving pair S4, the portfolio hard-instance
 # race S5, the artifact-cache delta re-assessment pair S6, the
 # served-vs-CLI warm-path pair S7, the sme-plant mitigation optimizer
-# S8, and the Fig. 1 end-to-end pipeline, plus the observability on/off
-# overhead pair) with -benchmem and files
+# S8, the JSON report export S9, and the Fig. 1 end-to-end pipeline,
+# plus the observability on/off overhead pair) with -benchmem and files
 # the numbers into the BENCH_PR10.json ledger via cmd/benchjson. CI and
 # `make bench` both run exactly this script. benchjson prints the S6
 # cold-vs-warm speedup table after the ledger write.
@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 label="${BENCH_LABEL:-after}"
 out="${BENCH_OUT:-BENCH_PR10.json}"
 benchtime="${BENCHTIME:-1s}"
-pattern='BenchmarkS1_SolverScaling|BenchmarkS2_EPAScaling|BenchmarkS3_ScenarioSpace|BenchmarkS3_PrunedSweep|BenchmarkS4_MultiShot|BenchmarkS5_PortfolioCuts|BenchmarkS6_DeltaReassess|BenchmarkS7_ServedWarmPath|BenchmarkS8_PlantOptimize|BenchmarkFig1_PipelineEndToEnd|BenchmarkObsOverhead'
+pattern='BenchmarkS1_SolverScaling|BenchmarkS2_EPAScaling|BenchmarkS3_ScenarioSpace|BenchmarkS3_PrunedSweep|BenchmarkS4_MultiShot|BenchmarkS5_PortfolioCuts|BenchmarkS6_DeltaReassess|BenchmarkS7_ServedWarmPath|BenchmarkS8_PlantOptimize|BenchmarkS9_ReportJSON|BenchmarkFig1_PipelineEndToEnd|BenchmarkObsOverhead'
 
 echo "== bench (${benchtime} each) -> ${out} [${label}] =="
 go test -run='^$' -bench="$pattern" -benchmem -benchtime="$benchtime" . \
