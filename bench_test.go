@@ -201,7 +201,7 @@ func BenchmarkFig3_HierarchicalEvaluation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		analysis, err := hazard.Analyze(eng, muts, 1, watertank.Requirements())
+		analysis, err := hazard.AnalyzeSweep(eng, muts, 1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func BenchmarkX2_ScenarioRanking(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	analysis, err := hazard.Analyze(eng, watertank.PaperCandidates(), -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func BenchmarkX4_CEGARLoop(b *testing.B) {
 	oracle := cegar.NewPlantOracle()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := cegar.Run(levels, oracle, -1)
+		res, err := cegar.RunParallel(levels, oracle, -1, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func BenchmarkX5_MitigationOptimization(b *testing.B) {
 		b.Fatal(err)
 	}
 	muts := watertank.PaperCandidates()
-	analysis, err := hazard.Analyze(eng, muts, -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, muts, -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func BenchmarkS3_ScenarioSpace(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("k=%d/sweep-seq", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := hazard.AnalyzeParallel(eng, muts, k, reqs, 1)
+				a, err := hazard.AnalyzeSweep(eng, muts, k, reqs, hazard.SweepConfig{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -439,7 +439,7 @@ func BenchmarkS3_ScenarioSpace(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("k=%d/sweep-par", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := hazard.AnalyzeParallel(eng, muts, k, reqs, 0)
+				a, err := hazard.AnalyzeSweep(eng, muts, k, reqs, hazard.SweepConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -603,104 +603,14 @@ func epaChain(b *testing.B, n int) (*epa.Engine, []faults.Mutation) {
 	return eng, muts
 }
 
-// guardedChain builds src -> g1 -> ... -> gk -> sink where every guard
-// can corrupt its output or (under a bypass fault) pass corruption
-// through. Minimal cuts for "sink sees a corrupt value" then span k+1
-// cardinality levels — {gk:corrupt}, {g(k-1):corrupt, gk:bypass}, ...,
-// {src:corrupt, g1..gk:bypass} — so the enumeration climbs one
-// optimization round per level, the workload experiment S4 measures.
-func guardedChain(b *testing.B, k int) (*epa.Engine, []faults.Mutation, hazard.Requirement) {
-	b.Helper()
-	types := sysmodel.NewTypeLibrary()
-	types.MustAdd(&sysmodel.ComponentType{
-		Name: "node",
-		Ports: []sysmodel.PortSpec{
-			{Name: "in", Dir: sysmodel.In, Flow: sysmodel.SignalFlow},
-			{Name: "out", Dir: sysmodel.Out, Flow: sysmodel.SignalFlow},
-		},
-		FaultModes: []sysmodel.FaultModeSpec{
-			{Name: "corrupt", Likelihood: "M"},
-			{Name: "bypass", Likelihood: "L"},
-		},
-	})
-	m := sysmodel.NewModel("guarded-chain")
-	ids := []string{"src"}
-	for i := 1; i <= k; i++ {
-		ids = append(ids, fmt.Sprintf("g%d", i))
-	}
-	ids = append(ids, "sink")
-	for _, id := range ids {
-		m.MustAddComponent(&sysmodel.Component{ID: id, Type: "node"})
-	}
-	for i := 0; i+1 < len(ids); i++ {
-		m.Connect(ids[i], "out", ids[i+1], "in", sysmodel.SignalFlow)
-	}
-	lib := epa.NewBehaviorLibrary(types)
-	lib.MustRegister(&epa.TypeBehavior{
-		Type:    "node",
-		Effects: []epa.FaultEffect{{Fault: "corrupt", Port: "out", Emit: epa.StateOf(epa.ErrValue)}},
-		Transfers: []epa.TransferRule{
-			{From: "in", Match: epa.StateOf(epa.ErrValue), To: "out",
-				Emit: epa.StateOf(epa.ErrValue), WhenFault: "bypass"},
-		},
-	})
-	eng, err := epa.NewEngine(m, lib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	muts := []faults.Mutation{{
-		Activation: epa.Activation{Component: "src", Fault: "corrupt"},
-		Likelihood: qual.Medium, Sources: []string{"fault_mode"},
-	}}
-	for i := 1; i <= k; i++ {
-		g := fmt.Sprintf("g%d", i)
-		muts = append(muts,
-			faults.Mutation{Activation: epa.Activation{Component: g, Fault: "corrupt"},
-				Likelihood: qual.Medium, Sources: []string{"fault_mode"}},
-			faults.Mutation{Activation: epa.Activation{Component: g, Fault: "bypass"},
-				Likelihood: qual.Low, Sources: []string{"fault_mode"}})
-	}
-	req := hazard.Requirement{
-		ID: "S4", Severity: qual.High,
-		Condition: hazard.Comp("sink", epa.ErrValue),
-	}
-	return eng, muts, req
-}
-
 // BenchmarkS4_MultiShot contrasts persistent solver sessions with their
-// single-shot equivalents (experiment S4). The cuts pair enumerates the
-// guarded chain's minimal cut sets: the single-shot arm re-grounds the
-// EPA encoding on every optimization round, the incremental arm grounds
-// once and streams blocking constraints into the live session. The
-// horizon pair checks a bounded-liveness property at growing horizons:
-// the rebuild arm recompiles and re-grounds the unrolling per horizon,
-// the incremental arm extends one session with only the new time steps.
+// single-shot equivalents (experiment S4). This is the horizon pair: it
+// checks a bounded-liveness property at growing horizons, the rebuild
+// arm recompiling and re-grounding the unrolling per horizon, the
+// incremental arm extending one session with only the new time steps.
+// The cuts pair lives next to its single-shot reference in
+// internal/hazard under the same benchmark name.
 func BenchmarkS4_MultiShot(b *testing.B) {
-	const guards = 6
-	eng, muts, req := guardedChain(b, guards)
-	b.Run("cuts/incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cuts, err := hazard.MinimalCutsASP(eng, muts, req, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(cuts) != guards+1 {
-				b.Fatalf("cuts = %d, want %d", len(cuts), guards+1)
-			}
-		}
-	})
-	b.Run("cuts/single-shot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cuts, err := hazard.MinimalCutsASPSingleShot(eng, muts, req, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(cuts) != guards+1 {
-				b.Fatalf("cuts = %d, want %d", len(cuts), guards+1)
-			}
-		}
-	})
-
 	// A requirement suite over the tank events, checked at every horizon:
 	// the per-horizon work is dominated by compiling and grounding the
 	// formula encodings, which the incremental arm does exactly once.
@@ -984,7 +894,7 @@ func BenchmarkAblation_Abstraction(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var hazards int
 			for i := 0; i < b.N; i++ {
-				analysis, err := hazard.Analyze(tc.eng, watertank.PaperCandidates(), -1, watertank.Requirements())
+				analysis, err := hazard.AnalyzeSweep(tc.eng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1007,7 +917,7 @@ func BenchmarkAblation_MaxCardinality(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var hazards int
 			for i := 0; i < b.N; i++ {
-				analysis, err := hazard.Analyze(eng, watertank.PaperCandidates(), k, watertank.Requirements())
+				analysis, err := hazard.AnalyzeSweep(eng, watertank.PaperCandidates(), k, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

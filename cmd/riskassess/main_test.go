@@ -398,6 +398,14 @@ func TestRunNoPruneFlag(t *testing.T) {
 	if plain.Executed != int64(len(plainRows)) {
 		t.Errorf("-no-prune executed %d of %d scenarios", plain.Executed, len(plainRows))
 	}
+	// One worker runs the same pipeline and reports the same accounting.
+	oneRows, one := jsonRun(t, "-parallel", "1", "-no-prune")
+	if scenarioSet(oneRows) != scenarioSet(plainRows) {
+		t.Fatal("one-worker and two-worker unpruned runs disagree on scenarios")
+	}
+	if one.Executed != int64(len(oneRows)) || one.Pruned != 0 || one.OrbitHits != 0 {
+		t.Errorf("-parallel 1 -no-prune sweep = %+v over %d rows", one, len(oneRows))
+	}
 	if pruned.Executed+pruned.Pruned+pruned.OrbitHits != int64(len(prunedRows)) {
 		t.Errorf("pruned-run accounting off: %+v over %d rows", pruned, len(prunedRows))
 	}

@@ -31,7 +31,7 @@ func TestRunBudgetExhaustionRoutesRestToUndetermined(t *testing.T) {
 	bud := budget.New(ctx, budget.Limits{})
 	oracle := &cancellingOracle{inner: NewPlantOracle(), cancel: cancel, left: 2}
 
-	res, err := RunBudget(levels(t), oracle, -1, bud)
+	res, err := RunParallel(levels(t), oracle, -1, bud, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunBudgetExhaustionRoutesRestToUndetermined(t *testing.T) {
 
 func TestRunBudgetScenarioCapRecordsAnalysisTruncation(t *testing.T) {
 	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 3})
-	res, err := RunBudget(levels(t), NewPlantOracle(), -1, bud)
+	res, err := RunParallel(levels(t), NewPlantOracle(), -1, bud, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,14 @@ func TestRunBudgetScenarioCapRecordsAnalysisTruncation(t *testing.T) {
 	}
 }
 
+// An unlimited budget must behave exactly like no budget at all.
 func TestRunBudgetNilBudgetMatchesRun(t *testing.T) {
-	want, err := Run(levels(t), NewPlantOracle(), -1)
+	want, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunBudget(levels(t), NewPlantOracle(), -1, nil)
+	unlimited := budget.New(context.Background(), budget.Limits{})
+	got, err := RunParallel(levels(t), NewPlantOracle(), -1, unlimited, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

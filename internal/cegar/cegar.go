@@ -128,33 +128,26 @@ func (r *Result) filter(v Verdict) []Judged {
 	return out
 }
 
-// Run executes the refinement loop: analyze the coarsest level; validate
-// its findings; while any finding is spurious and a finer level exists,
-// move to the next level and re-analyze. The final level's findings are
-// returned with their verdicts. maxCard bounds scenario cardinality.
-func Run(levels []Level, oracle Oracle, maxCard int) (*Result, error) {
-	return RunBudget(levels, oracle, maxCard, nil)
-}
-
-// RunBudget is Run under a resource budget. Each level's hazard analysis
-// degrades as hazard.AnalyzeBudget does (truncations are collected on the
-// result); the budget is also polled between oracle calls — concrete
-// validation can dominate wall-clock time — and on exhaustion every
-// not-yet-validated finding of the current level is routed to
-// Undetermined (expert review), matching the paper's handling of
-// undecidable counterexamples. A nil budget is unlimited.
-func RunBudget(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget) (*Result, error) {
-	return RunParallel(levels, oracle, maxCard, bud, 1)
-}
-
-// RunParallel is RunBudget with a worker pool: each level's hazard
-// analysis uses the parallel scenario sweep and its abstract
-// counterexamples are validated against the oracle concurrently (the
-// oracle must be safe for concurrent Check calls). parallelism <= 0
-// picks GOMAXPROCS, 1 is exactly the sequential loop. Verdicts are
-// deterministic and ordered as sequentially; only the point at which a
-// wall-clock exhaustion cuts validation over to Undetermined can vary,
-// exactly as it does sequentially.
+// RunParallel executes the refinement loop: analyze the coarsest level;
+// validate its findings; while any finding is spurious and a finer level
+// exists, move to the next level and re-analyze. The final level's
+// findings are returned with their verdicts. maxCard bounds scenario
+// cardinality.
+//
+// Each level's hazard analysis is a hazard.AnalyzeSweep on a pool of
+// parallelism workers (<= 0 picks GOMAXPROCS), and its abstract
+// counterexamples are validated against the oracle on as many workers
+// (the oracle must be safe for concurrent Check calls). Verdicts are
+// deterministic and ordered as the findings are at any worker count.
+//
+// Under a budget each level's analysis degrades as the sweep does
+// (truncations are collected on the result); the budget is also polled
+// between oracle calls — concrete validation can dominate wall-clock
+// time — and on exhaustion every not-yet-validated finding of the
+// current level is routed to Undetermined (expert review), matching the
+// paper's handling of undecidable counterexamples. Only the point at
+// which a wall-clock exhaustion cuts validation over can vary between
+// runs. A nil budget is unlimited.
 func RunParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget, parallelism int) (*Result, error) {
 	return runParallel(levels, oracle, maxCard, bud, parallelism, false)
 }
@@ -189,7 +182,8 @@ func runParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget,
 		}
 		endLevel := func(err error) error { lspan.End(); return err }
 		reg.Counter("cegar.levels").Inc()
-		analysis, err := hazard.AnalyzeParallelBudget(level.Engine, level.Mutations, maxCard, level.Requirements, lbud, parallelism)
+		analysis, err := hazard.AnalyzeSweep(level.Engine, level.Mutations, maxCard, level.Requirements,
+			hazard.SweepConfig{Budget: lbud, Parallelism: parallelism})
 		if err != nil {
 			return nil, endLevel(fmt.Errorf("cegar: level %q: %w", level.Name, err))
 		}

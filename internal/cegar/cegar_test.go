@@ -33,7 +33,7 @@ func levels(t testing.TB) []Level {
 }
 
 func TestLoopRefinesAndClassifies(t *testing.T) {
-	res, err := Run(levels(t), NewPlantOracle(), -1)
+	res, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestLoopRefinesAndClassifies(t *testing.T) {
 // confirmed at the fine level corresponds to a real concrete violation
 // (oracle soundness is exercised through the plant directly).
 func TestNoConfirmedFindingIsFalse(t *testing.T) {
-	res, err := Run(levels(t), NewPlantOracle(), -1)
+	res, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestNoConfirmedFindingIsFalse(t *testing.T) {
 
 func TestSingleLevelStopsImmediately(t *testing.T) {
 	ls := levels(t)
-	res, err := Run(ls[1:], NewPlantOracle(), -1)
+	res, err := RunParallel(ls[1:], NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSingleLevelStopsImmediately(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, NewPlantOracle(), -1); err == nil {
+	if _, err := RunParallel(nil, NewPlantOracle(), -1, nil, 1); err == nil {
 		t.Error("no levels must fail")
 	}
 }
@@ -116,7 +116,7 @@ type yesOracle struct{}
 func (yesOracle) Check(Finding) (Verdict, error) { return Confirmed, nil }
 
 func TestLoopStopsWhenAllConfirmed(t *testing.T) {
-	res, err := Run(levels(t), yesOracle{}, -1)
+	res, err := RunParallel(levels(t), yesOracle{}, -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestScreenAgreesWithNativeOnCaseStudy(t *testing.T) {
 			t.Errorf("level %d: screen refuted %d findings the native analysis produced", li, n)
 		}
 	}
-	plain, err := Run(levels(t), NewPlantOracle(), -1)
+	plain, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func BenchmarkCEGARLoop(b *testing.B) {
 	oracle := NewPlantOracle()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ls, oracle, -1); err != nil {
+		if _, err := RunParallel(ls, oracle, -1, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -72,7 +72,7 @@ type Config struct {
 	Resources budget.Limits
 	// Parallelism is the worker-pool size for the native scenario sweep
 	// and for CEGAR counterexample validation: 0 picks GOMAXPROCS, 1
-	// forces the sequential path. The results are identical either way;
+	// runs a single worker. The results are identical either way;
 	// only wall-clock time changes. When an Oracle is configured with
 	// Parallelism != 1 it must be safe for concurrent Check calls.
 	// It also sizes the run-wide worker-pool governor: sweep workers,

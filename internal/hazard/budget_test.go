@@ -15,7 +15,7 @@ func TestAnalyzeBudgetScenarioCapFallsBackToCompletedCardinality(t *testing.T) {
 	// 5 interrupts inside cardinality 2 (scenarios 5..7), so the analysis
 	// must fall back to cardinality <= 1 (4 scenarios).
 	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 5})
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, bud)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAnalyzeBudgetCapAtCardinalityBoundaryKeepsAll(t *testing.T) {
 	// Cap exactly at the cardinality-1 boundary: 1 + 3 = 4 scenarios kept,
 	// nothing dropped beyond the frontier.
 	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 4})
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, bud)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAnalyzeBudgetCancelledContextReturnsPromptly(t *testing.T) {
 	cancel()
 	bud := budget.New(ctx, budget.Limits{})
 	start := time.Now()
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, bud)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAnalyzeBudgetCancelledContextReturnsPromptly(t *testing.T) {
 
 func TestAnalyzeBudgetNilBudgetIsExhaustive(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, nil)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAnalyzeBudgetNilBudgetIsExhaustive(t *testing.T) {
 
 func TestAnalyzeASPBudgetPopulatesSolverStats(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeASPBudget(eng, muts, 1, reqs, nil)
+	a, err := AnalyzeASPOpts(eng, muts, 1, reqs, ASPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAnalyzeASPBudgetPopulatesSolverStats(t *testing.T) {
 func TestAnalyzeASPBudgetGroundCapAborts(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	bud := budget.New(context.Background(), budget.Limits{MaxGroundRules: 3})
-	_, err := AnalyzeASPBudget(eng, muts, 1, reqs, bud)
+	_, err := AnalyzeASPOpts(eng, muts, 1, reqs, ASPOptions{Budget: bud})
 	ex, ok := budget.Exhausted(err)
 	if !ok {
 		t.Fatalf("err = %v", err)
@@ -129,7 +129,7 @@ func TestAnalyzeASPBudgetGroundCapAborts(t *testing.T) {
 func TestAnalyzeASPBudgetScenarioCapTruncates(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 3})
-	a, err := AnalyzeASPBudget(eng, muts, -1, reqs, bud)
+	a, err := AnalyzeASPOpts(eng, muts, -1, reqs, ASPOptions{Budget: bud})
 	if err != nil {
 		t.Fatal(err)
 	}

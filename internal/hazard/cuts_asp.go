@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cpsrisk/internal/budget"
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/logic"
@@ -40,17 +41,18 @@ func defaultCutRounds(n int) int {
 //
 // maxRounds bounds the iteration defensively; the space of minimal cuts
 // over n candidates is finite, so the loop always terminates on its own.
-func MinimalCutsASP(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int) ([]epa.Scenario, error) {
-	return MinimalCutsASPOpts(eng, muts, req, maxRounds, ASPOptions{})
-}
-
-// MinimalCutsASPOpts is MinimalCutsASP with a budget and solver portfolio
-// control: with SolverWorkers > 1 every optimization round races that
-// many diversified engines, sharing learned clauses and racing the
+//
+// With SolverWorkers > 1 every optimization round races that many
+// diversified engines, sharing learned clauses and racing the
 // cardinality bound. The enumerated cut set is identical for any worker
 // count (each round's optimum and its complete optimal model set are
 // unique); only wall-clock time changes.
-func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int, o ASPOptions) ([]epa.Scenario, error) {
+//
+// When the budget interrupts a round, that round's models are not
+// optimal and cannot be trusted as minimal cuts: the round is dropped
+// and the cuts of the completed rounds are returned together with a
+// *budget.ExhaustedError (stage "hazard-cuts").
+func MinimalCutsASP(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int, o ASPOptions) ([]epa.Scenario, error) {
 	base, err := cutsBase(eng, muts, req)
 	if err != nil {
 		return nil, err
@@ -73,6 +75,12 @@ func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement
 		if err != nil {
 			return nil, err
 		}
+		if res.Interrupted {
+			return cuts, &budget.ExhaustedError{
+				Stage: "hazard-cuts", Reason: res.InterruptReason,
+				Detail: fmt.Sprintf("%d minimal cuts enumerated before interruption", len(cuts)),
+			}
+		}
 		if len(res.Models) == 0 {
 			return cuts, nil // space exhausted
 		}
@@ -85,38 +93,6 @@ func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement
 		if err := sess.Add(block); err != nil {
 			return nil, err
 		}
-	}
-	return nil, fmt.Errorf("hazard: minimal-cut enumeration exceeded %d rounds", maxRounds)
-}
-
-// MinimalCutsASPSingleShot is the pre-session reference implementation:
-// every round rebuilds the program with all blocking constraints and
-// re-grounds and re-solves it from scratch. It is exported for the
-// differential equality test and the S4 incremental-vs-single-shot
-// benchmark; production callers should use MinimalCutsASP.
-func MinimalCutsASPSingleShot(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int) ([]epa.Scenario, error) {
-	base, err := cutsBase(eng, muts, req)
-	if err != nil {
-		return nil, err
-	}
-	if maxRounds <= 0 {
-		maxRounds = defaultCutRounds(len(muts))
-	}
-	var cuts []epa.Scenario
-	for round := 0; round < maxRounds; round++ {
-		prog := &logic.Program{}
-		prog.Extend(base)
-		for _, cut := range cuts {
-			prog.AddRule(blockCut(cut))
-		}
-		res, err := solver.SolveProgram(prog, solver.Options{Optimize: true})
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Models) == 0 {
-			return cuts, nil // space exhausted
-		}
-		cuts = append(cuts, cutBatch(res.Models, muts)...)
 	}
 	return nil, fmt.Errorf("hazard: minimal-cut enumeration exceeded %d rounds", maxRounds)
 }

@@ -44,7 +44,7 @@ type ScenarioResult struct {
 func (s ScenarioResult) IsHazardous() bool { return len(s.Violated) > 0 }
 
 // Violates reports whether the given requirement is violated. Violated
-// is sorted by construction (both analysis paths sort it), so this is a
+// is sorted by construction (buildResult sorts it), so this is a
 // binary search — it sits inside every per-requirement loop over the
 // scenario space (Summary, MinimalCuts, mitigation loss preparation).
 func (s ScenarioResult) Violates(reqID string) bool {
@@ -82,7 +82,7 @@ type ResumeInfo struct {
 
 // SweepStats describes the execution of one native scenario sweep.
 type SweepStats struct {
-	// Workers is the worker-pool size (1 = sequential).
+	// Workers is the worker-pool size.
 	Workers int
 	// Scenarios counts the scenario results kept in the analysis.
 	Scenarios int
@@ -98,8 +98,7 @@ type SweepStats struct {
 	// (0 = fresh sweep).
 	Restored int
 	// Executed counts scenarios evaluated against a full EPA result —
-	// an engine run or a cached state vector (0 on the sequential path,
-	// which neither caches nor prunes).
+	// an engine run or a cached state vector.
 	Executed int64
 	// Pruned counts rows synthesized by dominance: the scenario had a
 	// recorded violating subset for every requirement, so its outcome
@@ -128,79 +127,6 @@ func (s *SweepStats) Throughput() float64 {
 		return 0
 	}
 	return float64(s.Scenarios) / s.Duration.Seconds()
-}
-
-// Analyze enumerates the scenario space (cardinality <= maxCard, negative
-// = unbounded) and evaluates every requirement on every scenario with the
-// native EPA engine, scoring scenario risk from the mutation likelihoods
-// and requirement severities.
-func Analyze(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement) (*Analysis, error) {
-	return AnalyzeBudget(eng, muts, maxCard, reqs, nil)
-}
-
-// AnalyzeBudget is Analyze under resource governance. Scenarios stream in
-// cardinality order and the budget is checked per scenario; when the
-// deadline, a cancellation, or the scenario cap trips, the analysis falls
-// back to the largest fully completed cardinality: results of the
-// in-flight cardinality are dropped (they would silently bias the ranking
-// toward lexicographically early candidates) and the skipped frontier is
-// reported in Analysis.Truncation.
-func AnalyzeBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, bud *budget.Budget) (*Analysis, error) {
-	if err := validateReqs(reqs); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	likelihoods := faults.LikelihoodIndex(muts)
-	limits := bud.Limits()
-	out := &Analysis{Requirements: reqs}
-
-	// Observability: one span around the whole sweep, counters batched
-	// after the loop — the per-scenario hot path is untouched.
-	obsCtx, sweepSpan := obs.StartSpan(bud.Context(), "sweep")
-	defer sweepSpan.End()
-	reg := obs.RegistryFromContext(obsCtx)
-
-	var trunc *budget.Truncation
-	var runErr error
-	processed := 0
-	faults.EnumerateStream(muts, maxCard, func(sc epa.Scenario) bool {
-		if limits.MaxScenarios > 0 && processed >= limits.MaxScenarios {
-			trunc = &budget.Truncation{Stage: "hazard", Reason: budget.ReasonScenarios}
-			trunc.Stamp(obsCtx)
-			return false
-		}
-		if err := bud.Err("hazard"); err != nil {
-			ex, _ := budget.Exhausted(err)
-			trunc = &budget.Truncation{Stage: "hazard", Reason: ex.Reason}
-			trunc.Stamp(obsCtx)
-			return false
-		}
-		res, err := eng.RunBudget(sc, bud)
-		if err != nil {
-			if ex, ok := budget.Exhausted(err); ok {
-				trunc = &budget.Truncation{Stage: "hazard", Reason: ex.Reason}
-				trunc.Stamp(obsCtx)
-				return false
-			}
-			runErr = err
-			return false
-		}
-		// The stream never skips, so the 1-based scenario ID is the
-		// stream position — the invariant the parallel sweep relies on.
-		out.Scenarios = append(out.Scenarios, scoreResult(processed, sc, res, reqs, likelihoods))
-		processed++
-		return true
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	if trunc != nil {
-		out.Truncation = trunc
-		out.truncateToCompletedCardinality(muts, maxCard)
-	}
-	out.Sweep = &SweepStats{Workers: 1, Scenarios: len(out.Scenarios), Duration: time.Since(start)}
-	publishSweep(reg, out.Sweep, processed)
-	return out, nil
 }
 
 // publishSweep files one sweep's effort onto the metrics registry
@@ -240,18 +166,34 @@ func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
 // position seq: S1 is the fault-free scenario.
 func scenarioID(seq int) string { return "S" + strconv.Itoa(seq+1) }
 
-// scoreResult evaluates every requirement on one EPA outcome and scores
-// the scenario risk. seq is the 0-based enumeration position; the
-// scenario ID is S<seq+1> (S1 = fault-free), identical for the
-// sequential and parallel sweeps.
+// scoreResult evaluates every requirement on one EPA outcome and builds
+// the scenario's row. seq is the 0-based enumeration position.
 func scoreResult(seq int, sc epa.Scenario, res *epa.Result, reqs []Requirement, likelihoods map[epa.Activation]qual.Level) ScenarioResult {
+	var violated []string
+	for _, r := range reqs {
+		if Eval(r.Condition, sc, res) {
+			violated = append(violated, r.ID)
+		}
+	}
+	sort.Strings(violated)
+	return buildResult(seq, sc, violated, reqs, likelihoods)
+}
+
+// buildResult builds the report row of the scenario at 0-based
+// enumeration position seq from its violated set (sorted requirement
+// IDs) and scores the scenario risk. Every row goes through it —
+// executed, synthesized by pruning or reuse, and ASP — which is what
+// keeps the sweep modes and engines byte-identical. The scenario ID is
+// S<seq+1> (S1 = fault-free).
+func buildResult(seq int, sc epa.Scenario, violated []string, reqs []Requirement, likelihoods map[epa.Activation]qual.Level) ScenarioResult {
 	sr := ScenarioResult{
 		ID:       scenarioID(seq),
 		Scenario: sc,
 	}
 	var severities []qual.Level
 	for _, r := range reqs {
-		if Eval(r.Condition, sc, res) {
+		i := sort.SearchStrings(violated, r.ID)
+		if i < len(violated) && violated[i] == r.ID {
 			sr.Violated = append(sr.Violated, r.ID)
 			severities = append(severities, r.Severity)
 		}
@@ -360,34 +302,8 @@ func scenarioLikelihoods(sc epa.Scenario, idx map[epa.Activation]qual.Level) []q
 	return out
 }
 
-// AnalyzeASP performs the same exhaustive analysis through the embedded
-// formal method: the EPA encoding plus the scenario-space choice plus the
-// compiled violation rules, solved for all answer sets. Scenario IDs are
-// assigned after sorting models into the native enumeration order so the
-// two paths are directly comparable.
-func AnalyzeASP(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement) (*Analysis, error) {
-	return AnalyzeASPBudget(eng, muts, maxCard, reqs, nil)
-}
-
-// AnalyzeASPBudget is AnalyzeASP under resource governance. The budget
-// caps grounding (aborting with *budget.ExhaustedError — callers fall
-// back to the native engine) and the answer-set search (returning the
-// answer sets found so far with Analysis.Truncation set). MaxScenarios
-// bounds the number of enumerated answer sets.
-//
-// The analysis is multi-shot: the encoding is grounded once with an
-// unbounded fault choice, then one persistent solver session sweeps the
-// cardinality levels 0..maxCard, each level selected by exactly-k count
-// assumptions on the active/2 predicate. Assumptions only filter stable
-// models, so the union over the sweep equals the single bounded solve it
-// replaces, while learned clauses and branching heuristics carry from one
-// cardinality to the next and an interruption keeps a clean
-// cardinality-ordered prefix.
-func AnalyzeASPBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, bud *budget.Budget) (*Analysis, error) {
-	return AnalyzeASPOpts(eng, muts, maxCard, reqs, ASPOptions{Budget: bud})
-}
-
-// ASPOptions parameterizes the ASP analysis beyond the budget.
+// ASPOptions parameterizes the ASP analysis and the ASP minimal-cut
+// enumeration.
 type ASPOptions struct {
 	// Budget governs grounding and search effort (nil = unlimited).
 	Budget *budget.Budget
@@ -415,10 +331,28 @@ type ASPOptions struct {
 	KeepSession func(*solver.Session)
 }
 
-// AnalyzeASPOpts is AnalyzeASPBudget with solver portfolio control: the
-// multi-shot session races SolverWorkers diversified engines per
-// cardinality query. The answer-set union is identical for any worker
-// count; only wall-clock time changes.
+// AnalyzeASPOpts performs the same exhaustive analysis as AnalyzeSweep
+// through the embedded formal method: the EPA encoding plus the
+// scenario-space choice plus the compiled violation rules, solved for
+// all answer sets. Scenario IDs are assigned after sorting models into
+// the native enumeration order, so the two paths are directly
+// comparable.
+//
+// The budget in o caps grounding (aborting with *budget.ExhaustedError —
+// callers fall back to the native engine) and the answer-set search
+// (returning the answer sets found so far with Analysis.Truncation set).
+// MaxScenarios bounds the number of enumerated answer sets.
+//
+// The analysis is multi-shot: the encoding is grounded once with an
+// unbounded fault choice, then one persistent solver session sweeps the
+// cardinality levels 0..maxCard, each level selected by exactly-k count
+// assumptions on the active/2 predicate. Assumptions only filter stable
+// models, so the union over the sweep equals the single bounded solve it
+// replaces, while learned clauses and branching heuristics carry from one
+// cardinality to the next and an interruption keeps a clean
+// cardinality-ordered prefix. With SolverWorkers > 1 each query races
+// that many diversified engines; the answer-set union is identical for
+// any worker count, only wall-clock time changes.
 func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, o ASPOptions) (*Analysis, error) {
 	bud := o.Budget
 	if err := validateReqs(reqs); err != nil {
@@ -503,16 +437,9 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 		}
 	}
 
-	likelihoods := faults.LikelihoodIndex(muts)
-	sevByID := map[string]qual.Level{}
-	for _, r := range reqs {
-		sevByID[r.ID] = r.Severity
-	}
-
 	results := make([]ScenarioResult, 0, len(models))
 	for _, m := range models {
-		sc := scenarioFromModel(&m, muts)
-		sr := ScenarioResult{Scenario: sc}
+		sr := ScenarioResult{Scenario: scenarioFromModel(&m, muts)}
 		for _, r := range reqs {
 			if m.Contains(logic.A("violated", logic.Sym(r.ID)).Key()) {
 				sr.Violated = append(sr.Violated, r.ID)
@@ -528,17 +455,9 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 		}
 		return results[i].Scenario.Key() < results[j].Scenario.Key()
 	})
-	for i := range results {
-		results[i].ID = scenarioID(i)
-		var severities []qual.Level
-		for _, v := range results[i].Violated {
-			severities = append(severities, sevByID[v])
-		}
-		results[i].Risk = risk.ScoreScenario(risk.ScenarioInput{
-			ID:                 results[i].ID,
-			FaultLikelihoods:   scenarioLikelihoods(results[i].Scenario, likelihoods),
-			ViolatedSeverities: severities,
-		})
+	likelihoods := faults.LikelihoodIndex(muts)
+	for i, sr := range results {
+		results[i] = buildResult(i, sr.Scenario, sr.Violated, reqs, likelihoods)
 	}
 	out := &Analysis{Requirements: reqs, Scenarios: results, Truncation: trunc}
 	st := sess.Stats()

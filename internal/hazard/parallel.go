@@ -17,11 +17,12 @@ import (
 	"cpsrisk/internal/store"
 )
 
-// The parallel sweep fans the scenario stream out to a worker pool and
-// merges per-scenario results back in enumeration order. It is
-// observably identical to the sequential AnalyzeBudget — same S<n> IDs,
-// same ordering, same risks, same budget and truncation semantics
-// (largest fully-completed cardinality) — because:
+// The sweep fans the scenario stream out to a worker pool and merges
+// per-scenario results back in enumeration order. It is observably
+// identical to a sequential loop over the stream (kept in the package
+// tests as the reference) at every worker count — same S<n> IDs, same
+// ordering, same risks, same budget and truncation semantics (largest
+// fully-completed cardinality) — because:
 //
 //   - the producer assigns each scenario its 0-based stream position
 //     (seq) before fan-out, and IDs derive from seq alone;
@@ -113,38 +114,32 @@ type producerOutcome struct {
 	trunc   *budget.Truncation
 }
 
-// AnalyzeParallel is Analyze with a worker pool of the given size
-// sweeping the scenario space. parallelism <= 0 uses
-// runtime.GOMAXPROCS(0); parallelism == 1 is exactly the sequential
-// path. The output is deterministic and identical to Analyze.
-func AnalyzeParallel(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, parallelism int) (*Analysis, error) {
-	return AnalyzeParallelBudget(eng, muts, maxCard, reqs, nil, parallelism)
-}
-
-// AnalyzeParallelBudget is AnalyzeParallel under resource governance,
-// with AnalyzeBudget's degradation semantics: the budget is polled per
-// scenario (producer and workers), exhaustion truncates to the largest
-// fully completed cardinality, and MaxScenarios caps the analyzed
-// prefix deterministically.
-func AnalyzeParallelBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, bud *budget.Budget, parallelism int) (*Analysis, error) {
-	return AnalyzeSweep(eng, muts, maxCard, reqs, SweepConfig{Budget: bud, Parallelism: parallelism})
-}
-
-// AnalyzeSweep is the full sweep engine: AnalyzeParallelBudget plus the
-// optional persistent result cache and checkpoint/resume. A resumed
-// sweep replays enumeration from rank 0 — cached scenarios become
-// lookups, uncached ones recompute — so the final Analysis is identical
-// to an uninterrupted run; Analysis.Resume records the provenance.
+// AnalyzeSweep is the native hazard-identification engine: it
+// enumerates the scenario space (cardinality <= maxCard, negative =
+// unbounded), evaluates every requirement on every scenario with the EPA
+// engine on a pool of cfg.Parallelism workers, and scores scenario risk
+// from the mutation likelihoods and requirement severities. The output
+// is deterministic and identical at any worker count.
+//
+// Under a budget, scenarios stream in cardinality order and the budget
+// is checked per scenario; when the deadline, a cancellation, or the
+// scenario cap trips, the analysis falls back to the largest fully
+// completed cardinality: results of the in-flight cardinality are
+// dropped (they would silently bias the ranking toward lexicographically
+// early candidates) and the skipped frontier is reported in
+// Analysis.Truncation.
+//
+// The optional persistent result cache and checkpoint make the sweep
+// resumable. A resumed sweep replays enumeration from rank 0 — cached
+// scenarios become lookups, uncached ones recompute — so the final
+// Analysis is identical to an uninterrupted run; Analysis.Resume records
+// the provenance.
 func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, cfg SweepConfig) (*Analysis, error) {
 	parallelism := cfg.Parallelism
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	bud := cfg.Budget
-	if parallelism == 1 && cfg.Cache == nil && cfg.Checkpoint == nil &&
-		!cfg.Prune && cfg.ShardCount <= 1 && cfg.Reuse == nil {
-		return AnalyzeBudget(eng, muts, maxCard, reqs, bud)
-	}
 	if err := validateReqs(reqs); err != nil {
 		return nil, err
 	}
@@ -210,8 +205,8 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	}
 
 	// MaxScenarios accounting. A plain sweep charges every emitted rank
-	// at the producer and stops at the cap, exactly like the sequential
-	// path. When pruning or reuse can synthesize rows, the cap must
+	// at the producer and stops at the cap, exactly like a sequential
+	// loop. When pruning or reuse can synthesize rows, the cap must
 	// charge executed-equivalent work only — implied and reused rows are
 	// free, or a pruned run would truncate earlier than an exhaustive one
 	// despite doing less work. Which rows are implied is worker-timing-
@@ -257,7 +252,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	// Producer: enumerate in order, batching scenarios into chunks tagged
 	// with their starting stream position. Budget poll and scenario cap
 	// live here, per scenario, so the analyzed prefix matches the
-	// sequential sweep exactly. Ranks below the resume frontier are
+	// sequential loop exactly. Ranks below the resume frontier are
 	// emitted (the report needs their rows) but not charged to the cap.
 	go func() {
 		defer close(jobs)
@@ -367,7 +362,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 							cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 						}
 					}
-					o.srs = append(o.srs, synthesizeResult(seq, sc, violated, reqs, likelihoods))
+					o.srs = append(o.srs, buildResult(seq, sc, violated, reqs, likelihoods))
 					continue
 				}
 			}
@@ -396,7 +391,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 					if cfg.Cache != nil {
 						cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 					}
-					o.srs = append(o.srs, synthesizeResult(seq, sc, violated, reqs, likelihoods))
+					o.srs = append(o.srs, buildResult(seq, sc, violated, reqs, likelihoods))
 					continue
 				}
 			}
@@ -578,7 +573,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	complete := trunc == nil && badErr == nil && firstBad == math.MaxInt
 	saveFrontier(complete)
 	if firstBad < prod.emitted && badErr != nil {
-		// Earliest event is a hard error: fail like the sequential sweep
+		// Earliest event is a hard error: fail like a sequential loop
 		// would on that scenario. The checkpoint above makes the failure
 		// resumable.
 		return nil, badErr

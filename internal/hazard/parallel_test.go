@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"cpsrisk/internal/budget"
+	"cpsrisk/internal/faultinject"
 )
 
 // canonical serializes the deterministic part of an Analysis (IDs,
@@ -28,13 +31,13 @@ func canonical(t *testing.T, a *Analysis) []byte {
 
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	seq, err := Analyze(eng, muts, -1, reqs)
+	seq, err := refSweep(eng, muts, -1, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := canonical(t, seq)
-	for _, par := range []int{2, 4, runtime.NumCPU() + 2} {
-		got, err := AnalyzeParallel(eng, muts, -1, reqs, par)
+	for _, par := range []int{1, 2, 4, runtime.NumCPU() + 2} {
+		got, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -55,12 +58,12 @@ func TestParallelSweepScenarioCapMatchesSequential(t *testing.T) {
 	mk := func() *budget.Budget {
 		return budget.New(context.Background(), budget.Limits{MaxScenarios: 5})
 	}
-	seq, err := AnalyzeBudget(eng, muts, -1, reqs, mk())
+	seq, err := refSweep(eng, muts, -1, reqs, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 4} {
-		got, err := AnalyzeParallelBudget(eng, muts, -1, reqs, mk(), par)
+	for _, par := range []int{1, 2, 4} {
+		got, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: mk(), Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -74,11 +77,38 @@ func TestParallelSweepScenarioCapMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestOneWorkerSweepIsThePipeline: one worker runs the same pipeline as
+// many — every row is counted as executed, and the hazard.chunk fault
+// site and worker-panic recovery are live — with no separate sequential
+// fork that would skip them.
+func TestOneWorkerSweepIsThePipeline(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("p=%d", par), func(t *testing.T) {
+			eng, muts, reqs := setup(t)
+			a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Sweep.Workers != par {
+				t.Errorf("workers = %d, want %d", a.Sweep.Workers, par)
+			}
+			if a.Sweep.Executed != int64(len(a.Scenarios)) {
+				t.Errorf("executed = %d, want %d", a.Sweep.Executed, len(a.Scenarios))
+			}
+			bud := chaosBudget(t, faultinject.SiteSweepChunk+"=panic@1", budget.Limits{})
+			_, err = AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: par})
+			if err == nil || !strings.Contains(err.Error(), "sweep worker panic") {
+				t.Errorf("chunk panic: err = %v, want a sweep worker panic", err)
+			}
+		})
+	}
+}
+
 func TestParallelSweepCancelledContext(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, err := AnalyzeParallelBudget(eng, muts, -1, reqs, budget.New(ctx, budget.Limits{}), 4)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: budget.New(ctx, budget.Limits{}), Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +124,14 @@ func TestParallelSweepUnknownActivationFails(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	bad := muts[:1:1]
 	bad[0].Component = "ghost"
-	if _, err := AnalyzeParallel(eng, bad, -1, reqs, 4); err == nil {
+	if _, err := AnalyzeSweep(eng, bad, -1, reqs, SweepConfig{Parallelism: 4}); err == nil {
 		t.Fatal("expected an error for an unknown component")
 	}
 }
 
 func TestParallelSweepDefaultsToGOMAXPROCS(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeParallel(eng, muts, 1, reqs, 0)
+	a, err := AnalyzeSweep(eng, muts, 1, reqs, SweepConfig{Parallelism: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +142,7 @@ func TestParallelSweepDefaultsToGOMAXPROCS(t *testing.T) {
 
 func TestViolatedSortedAndBinarySearch(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeParallel(eng, muts, -1, reqs, 2)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,6 @@ import (
 
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faults"
-	"cpsrisk/internal/qual"
-	"cpsrisk/internal/risk"
 	"cpsrisk/internal/store"
 )
 
@@ -521,30 +519,4 @@ func (p *pruner) decodeSynth(b []byte) ([]string, bool) {
 	}
 	sort.Strings(violated)
 	return violated, true
-}
-
-// synthesizeResult builds the ScenarioResult a full evaluation would
-// have produced, from the known violated set. It mirrors scoreResult
-// exactly — same Violated content and order, same severity order, same
-// risk scoring — which is what makes pruned reports byte-identical.
-func synthesizeResult(seq int, sc epa.Scenario, violated []string, reqs []Requirement, likelihoods map[epa.Activation]qual.Level) ScenarioResult {
-	sr := ScenarioResult{
-		ID:       scenarioID(seq),
-		Scenario: sc,
-	}
-	var severities []qual.Level
-	for _, r := range reqs {
-		i := sort.SearchStrings(violated, r.ID)
-		if i < len(violated) && violated[i] == r.ID {
-			sr.Violated = append(sr.Violated, r.ID)
-			severities = append(severities, r.Severity)
-		}
-	}
-	sort.Strings(sr.Violated)
-	sr.Risk = risk.ScoreScenario(risk.ScenarioInput{
-		ID:                 sr.ID,
-		FaultLikelihoods:   scenarioLikelihoods(sc, likelihoods),
-		ViolatedSeverities: severities,
-	})
-	return sr
 }

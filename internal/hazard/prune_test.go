@@ -165,7 +165,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 						t.Fatalf("pruned report diverged:\n--- pruned ---\n%s\n--- exhaustive ---\n%s", got, want)
 					}
 					// The sequential reference closes the triangle.
-					seq, err := Analyze(eng, muts, k, reqs)
+					seq, err := refSweep(eng, muts, k, reqs, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,13 +1,15 @@
 #!/bin/sh
 # bench.sh runs the perf-tracked benchmark suite (the scalability sweeps
-# S1-S3, the multi-shot solving pair S4, the portfolio hard-instance
-# race S5, the artifact-cache delta re-assessment pair S6, the
-# served-vs-CLI warm-path pair S7, the sme-plant mitigation optimizer
-# S8, the JSON report export S9, and the Fig. 1 end-to-end pipeline,
-# plus the observability on/off overhead pair) with -benchmem and files
-# the numbers into the BENCH_PR10.json ledger via cmd/benchjson. CI and
-# `make bench` both run exactly this script. benchjson prints the S6
-# cold-vs-warm speedup table after the ledger write.
+# S1-S3, the multi-shot solving pairs S4 — horizons in the root package,
+# minimal cuts in internal/hazard next to their single-shot reference —
+# the portfolio hard-instance race S5, the artifact-cache delta
+# re-assessment pair S6, the served-vs-CLI warm-path pair S7, the
+# sme-plant mitigation optimizer S8, the JSON report export S9, and the
+# Fig. 1 end-to-end pipeline, plus the observability on/off overhead
+# pair) with -benchmem and files the numbers into the BENCH_PR10.json
+# ledger via cmd/benchjson. CI and `make bench` both run exactly this
+# script. benchjson prints the S6 cold-vs-warm speedup table after the
+# ledger write.
 #
 # The S5 portfolio benchmark additionally runs pinned to -cpu=1 and
 # -cpu=4 (labels <label>-cpu1 / <label>-cpu4): cpu1 shows the governor
@@ -27,7 +29,7 @@ benchtime="${BENCHTIME:-1s}"
 pattern='BenchmarkS1_SolverScaling|BenchmarkS2_EPAScaling|BenchmarkS3_ScenarioSpace|BenchmarkS3_PrunedSweep|BenchmarkS4_MultiShot|BenchmarkS5_PortfolioCuts|BenchmarkS6_DeltaReassess|BenchmarkS7_ServedWarmPath|BenchmarkS8_PlantOptimize|BenchmarkS9_ReportJSON|BenchmarkFig1_PipelineEndToEnd|BenchmarkObsOverhead'
 
 echo "== bench (${benchtime} each) -> ${out} [${label}] =="
-go test -run='^$' -bench="$pattern" -benchmem -benchtime="$benchtime" . \
+go test -run='^$' -bench="$pattern" -benchmem -benchtime="$benchtime" . ./internal/hazard \
   | go run ./cmd/benchjson -label "$label" -out "$out"
 
 for cpus in 1 4; do
